@@ -135,7 +135,7 @@ def kernel_first_moment(g: GridTrace, rate: float = 0.0) -> float:
     return corrected_trapezoid(s * g.values * np.exp(-rate * s), g.step)
 
 
-def _bisect(fn, lo: float, hi: float, target: float = 1.0) -> float:
+def bisect_decreasing(fn, lo: float, hi: float, target: float = 1.0) -> float:
     """Root of the monotone decreasing fn(x) = target on [lo, hi]."""
     for _ in range(_MAX_BISECT):
         mid = 0.5 * (lo + hi)
@@ -162,7 +162,7 @@ def solve_kappa_supercritical(g: GridTrace) -> float:
         hi *= 2.0
     else:
         raise NumericalError("failed to bracket the tilt rate")
-    return _bisect(lambda k: tilted_kernel_mass(g, k), 0.0, hi)
+    return bisect_decreasing(lambda k: tilted_kernel_mass(g, k), 0.0, hi)
 
 
 def solve_theta_subcritical(g: GridTrace, rho: float) -> tuple[float | None, float]:
@@ -180,7 +180,7 @@ def solve_theta_subcritical(g: GridTrace, rho: float) -> tuple[float | None, flo
     cap = _THETA_CAP * 2.0 * rho
     if tilted_kernel_mass(g, -cap) < 1.0:
         return None, cap
-    theta = _bisect(lambda th: -tilted_kernel_mass(g, -th), 0.0, cap, target=-1.0)
+    theta = bisect_decreasing(lambda th: -tilted_kernel_mass(g, -th), 0.0, cap, target=-1.0)
     return theta, min(2.0 * rho, theta)
 
 

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -11,10 +12,16 @@ from sdde_meansq import (
     NumericalError,
     RenewalProblem,
     SignedMeasure,
+    analyze,
     compute_resolvent,
     mean_square_trace,
+    parse_config,
     solve_renewal,
 )
+from sdde_meansq.cli import main as cli_main
+from sdde_meansq.renewal import _BASE, _FFT_BLOCK, malthusian_rate
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def grid(h, T):
@@ -23,6 +30,43 @@ def grid(h, T):
 
 def trace(h, values):
     return GridTrace(h, np.asarray(values, dtype=float))
+
+
+def reference_renewal(f, g, h):
+    """O(n^2) trapezoid march, the reference for the fast solver."""
+    y = np.empty(f.size)
+    y[0] = f[0]
+    scale = 1.0 / (1.0 - 0.5 * h * g[0])
+    for n in range(1, f.size):
+        conv = 0.5 * g[n] * y[0]
+        if n > 1:
+            conv += float(np.dot(g[1:n], y[n - 1 : 0 : -1]))
+        y[n] = max((f[n] + h * conv) * scale, 0.0)
+    return y
+
+
+def reference_mean_square(x, rsq, y, h):
+    """O(n^2) trapezoid convolution x^2 + h (r^2 * y), the reference."""
+    out = np.empty(y.size)
+    out[0] = x[0] ** 2
+    for n in range(1, y.size):
+        conv = 0.5 * (rsq[0] * y[n] + rsq[n] * y[0])
+        if n > 1:
+            conv += float(np.dot(rsq[1:n], y[n - 1 : 0 : -1]))
+        out[n] = x[n] ** 2 + h * conv
+    return out
+
+
+def max_rel_err(values, ref):
+    """Largest relative error over the reference values in the normal float range."""
+    normal = ref >= np.finfo(float).tiny
+    assert np.all(np.abs(values[~normal]) < 1e-300)
+    return float(np.abs(values[normal] / ref[normal] - 1.0).max())
+
+
+def problem_doc(mu, nu, h, T):
+    return {"alpha": 1, "mu": {"atoms": mu}, "nu": {"atoms": nu},
+            "phi": {"constant": 1}, "numerical": {"h": h, "T": T}}
 
 
 class TestSolveRenewal:
@@ -158,3 +202,116 @@ class TestMeanSquareTrace:
         r = compute_resolvent(mu, 0.01, 1.0)
         with pytest.raises(ConfigurationError):
             mean_square_trace(trace(0.02, np.ones(51)), r, trace(0.02, np.ones(51)))
+
+
+#: grid sizes on both sides of the march block and of the FFT block sizes
+LENGTHS = (1, 2, _BASE - 1, _BASE + 1, 2 * _BASE + 1, _FFT_BLOCK // 2 - 1,
+           _FFT_BLOCK // 2 + 1, _FFT_BLOCK - 1, _FFT_BLOCK + 1, 3 * _FFT_BLOCK + 7)
+
+
+class TestAgainstReference:
+    @settings(max_examples=30)
+    @given(
+        st.sampled_from(LENGTHS),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from((1e-3, 1e-2)),
+        st.floats(0.01, 4.0),
+        st.floats(0.0, 3.0),
+        st.floats(0.0, 3.0),
+        st.booleans(),
+    )
+    def test_random_nonnegative_data(self, n, seed, h, g_scale, g_decay, f_decay, g0_zero):
+        rng = np.random.default_rng(seed)
+        t = h * np.arange(n)
+        f = (0.05 + rng.random(n)) * np.exp(-f_decay * t)
+        g = g_scale * rng.random(n) * np.exp(-g_decay * t)
+        if g0_zero:
+            g[0] = 0.0
+        y = solve_renewal(RenewalProblem(trace(h, f), trace(h, g)))
+        y_ref = reference_renewal(f, g, h)
+        assert max_rel_err(y.values, y_ref) <= 1e-12
+
+        r = compute_resolvent(SignedMeasure(1.0, atoms=((0.0, -g_decay),)), h, h * (n - 1))
+        x = trace(h, 0.1 + rng.random(n))
+        msq = mean_square_trace(x, r, y)
+        ref = reference_mean_square(x.values, r.trace.values**2, y.values, h)
+        assert max_rel_err(msq.values, ref) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "mu, nu",
+        [
+            ([[0, -1]], [[0, 2]]),  # gbm c=2: E|X|^2 grows like e^(2t)
+            ([[-1, -2]], [[0, 0.5]]),  # unstable drift: |r| grows
+            ([[0, -50]], [[0, 1]]),  # E|X|^2 = e^{-99t}: e^{99t} overflows, y underflows
+        ],
+        ids=["gbm-c2", "unstable-delay-drift", "fast-decay"],
+    )
+    def test_pipeline_problems(self, mu, nu):
+        analysis = analyze(parse_config(json.dumps(problem_doc(mu, nu, 1e-3, 20))))
+        h = analysis.forcing.step
+        y = solve_renewal(RenewalProblem(analysis.forcing, analysis.kernel))
+        assert y.values.size >= 20001
+        y_ref = reference_renewal(analysis.forcing.values, analysis.kernel.values, h)
+        assert max_rel_err(y.values, y_ref) <= 1e-12
+        msq = mean_square_trace(analysis.x.trace, analysis.r, y)
+        ref = reference_mean_square(
+            analysis.x.trace.values, analysis.r.trace.values**2, y_ref, h
+        )
+        assert max_rel_err(msq.values, ref) <= 1e-12
+
+    def test_closed_form_at_two_hundred_thousand_points(self):
+        # f = g = 4 e^{-2t} forces y = 4 e^{2t}; n = 200001
+        h = 1e-4
+        t = grid(h, 20.0)
+        fg = 4.0 * np.exp(-2.0 * t)
+        y = solve_renewal(RenewalProblem(trace(h, fg), trace(h, fg.copy())))
+        assert y.values.size == 200001
+        assert max_rel_err(y.values, 4.0 * np.exp(2.0 * t)) < 1e-5
+
+
+class TestMalthusianRate:
+    def test_no_mass_past_zero(self):
+        g = np.zeros(11)
+        g[0] = 1.0
+        assert malthusian_rate(trace(0.1, g)) == 0.0
+
+    @pytest.mark.parametrize("mass", [0.25, 1.0, 4.0])
+    def test_exponential_kernel(self, mass):
+        # the tilted mass of 2*mass*e^{-2s} is 2*mass / (2 + sigma)
+        h = 1e-3
+        t = grid(h, 40.0)
+        rate = malthusian_rate(trace(h, 2.0 * mass * np.exp(-2.0 * t)))
+        assert rate == pytest.approx(2.0 * mass - 2.0, abs=1e-4)
+
+
+class TestOverflow:
+    def test_meansquare_exits_3_without_csv(self, tmp_path, capsys):
+        cfg = tmp_path / "c20.json"
+        cfg.write_text(json.dumps(problem_doc([[0, -1]], [[0, 20]], 1e-3, 5)))
+        out = tmp_path / "out"
+        assert cli_main(["meansquare", "--config", str(cfg), "--out", str(out)]) == 3
+        assert "at t = 1.745" in capsys.readouterr().err
+        assert not (out / "meansq_renewal.csv").exists()
+
+    def test_small_forcing_untilts_past_the_overflow_of_the_tilt(self):
+        # the equation is linear, so scaling f by 1e-300 scales y; e^{sigma t}
+        # alone overflows from t ~ 1.8 while y * 1e-300 stays finite
+        h = 1e-3
+        t = grid(h, 3.0)
+        f = np.ones_like(t)
+        g = 400.0 * np.exp(-2.0 * t)
+        y = solve_renewal(RenewalProblem(trace(h, 1e-300 * f), trace(h, g.copy())))
+        assert malthusian_rate(trace(h, g)) * t[-1] > math.log(np.finfo(float).max)
+        assert np.all(np.isfinite(y.values))
+        n_ok = round(1.5 / h)
+        ref = solve_renewal(RenewalProblem(trace(h, f[: n_ok + 1]), trace(h, g[: n_ok + 1])))
+        assert max_rel_err(y.values[: n_ok + 1], 1e-300 * ref.values) < 1e-12
+
+    def test_mean_square_overflow_names_time(self):
+        # r ~ e^{1.2t}, y = e^{2t}: (r^2 * y)(t) ~ 2.5 e^{2.4t} overflows near t = 295
+        h = 0.01
+        r = compute_resolvent(SignedMeasure(1.0, atoms=((0.0, 1.2),)), h, 300.0)
+        t = grid(h, 300.0)
+        y = trace(h, np.exp(2.0 * t))
+        with pytest.raises(NumericalError, match=r"second moment .* at t = 29[45]\."):
+            mean_square_trace(trace(h, np.ones_like(t)), r, y)
