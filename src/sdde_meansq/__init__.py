@@ -37,7 +37,6 @@ from .resolvent import (
     compute_resolvent,
     decay_rate_estimate,
     deterministic_solution,
-    extract_segment,
     l2_norm_sq_tail,
 )
 from .stability import (
@@ -54,7 +53,6 @@ from .stability import (
     kernel_first_moment,
     limit_constant_critical,
     limit_constant_supercritical,
-    norm_sq_GR,
     solution_functional_trace,
     solve_b0,
     solve_kappa_supercritical,

@@ -32,7 +32,7 @@ from .errors import (
     ConfigurationError,
 )
 from .measures import CompiledFunctional, Segment, SignedMeasure
-from .quadrature import exact_divisions
+from .quadrature import exact_divisions, require_match
 
 
 @dataclass(frozen=True)
@@ -91,10 +91,10 @@ class ProblemSpec:
     mc: McSettings | None = None
 
     def __post_init__(self):
-        slack = 1e-12 * max(1.0, self.alpha)
-        if abs(self.mu.alpha - self.alpha) > slack or abs(self.nu.alpha - self.alpha) > slack:
-            raise ConfigurationError(
-                ALPHA_MISMATCH, "mu and nu must live on [-alpha, 0]", field="alpha"
+        for m in (self.mu, self.nu):
+            require_match(
+                m.alpha, self.alpha, ALPHA_MISMATCH, "mu and nu must live on [-alpha, 0]",
+                field="alpha",
             )
         exact_divisions(self.alpha, self.h, "alpha")
         exact_divisions(self.T, self.h, "horizon T")

@@ -17,7 +17,7 @@ from .errors import (
     AtomAlignmentError,
     ConfigurationError,
 )
-from .quadrature import DIV_RTOL, exact_divisions
+from .quadrature import DIV_RTOL, exact_divisions, require_match
 
 #: atoms must hit a grid node within this fraction of the step
 ATOM_RTOL = 1e-9
@@ -73,8 +73,9 @@ class SignedMeasure:
         )
 
     def __add__(self, other: "SignedMeasure") -> "SignedMeasure":
-        if abs(self.alpha - other.alpha) > DIV_RTOL * max(1.0, self.alpha):
-            raise ConfigurationError(ALPHA_MISMATCH, "cannot add measures with different alpha")
+        require_match(
+            self.alpha, other.alpha, ALPHA_MISMATCH, "cannot add measures with different alpha"
+        )
         weights: dict[float, float] = {}
         for l, w in self.atoms + other.atoms:
             weights[l] = weights.get(l, 0.0) + w
@@ -125,6 +126,12 @@ class CompiledFunctional:
     is resampled onto the grid and folded with trapezoidal weights.  All
     evaluators take a zero-padded or history-padded trace array ``padded``
     in which the segment of step ``n`` is ``padded[n : n + N + 1]``.
+
+    ``jump_loss[j]`` is the density weight that offset ``j`` loses when the
+    underlying function jumps from zero to its stored value at that node:
+    the node keeps all of its weight at offset 0 (the jump lies at the
+    segment's left end), none at offset N (the segment lies before the
+    jump) and half in between.
     """
 
     def __init__(self, measure: SignedMeasure, h: float):
@@ -145,6 +152,7 @@ class CompiledFunctional:
         self.atom_items = tuple(atom_items)
         self.atom_at = atom_at
         self.dens_weights = None
+        self.jump_loss = None
         if measure.density and N >= 1:
             u = -measure.alpha + h * np.arange(N + 1)
             locs = np.array([l for l, _ in measure.density])
@@ -155,6 +163,10 @@ class CompiledFunctional:
             w[-1] *= 0.5
             if np.any(w != 0.0):
                 self.dens_weights = w
+                keep = np.full(N + 1, 0.5)
+                keep[0] = 1.0
+                keep[N] = 0.0
+                self.jump_loss = (1.0 - keep) * w
 
     def value(self, padded: np.ndarray, n: int) -> float:
         """Plain evaluation on the segment at step ``n``."""
@@ -181,7 +193,8 @@ class CompiledFunctional:
         steps whose segment still contains the time-0 node, point masses at
         that node take the right limit (the stored value) or the left limit
         (zero) according to ``side``, and the density integration gives the
-        node the fraction of its weight on the nonzero side of the jump.
+        node the fraction of its weight on the nonzero side of the jump
+        (``jump_loss``).
         """
         acc = self.value(padded, n)
         N = self.n_intervals
@@ -190,14 +203,8 @@ class CompiledFunctional:
             v0 = padded[N]
             if side == "left" and j in self.atom_at:
                 acc -= self.atom_at[j] * v0
-            if self.dens_weights is not None:
-                if j == N:
-                    keep = 0.0
-                elif j == 0:
-                    keep = 1.0
-                else:
-                    keep = 0.5
-                acc -= (1.0 - keep) * self.dens_weights[j] * v0
+            if self.jump_loss is not None:
+                acc -= self.jump_loss[j] * v0
         return float(acc)
 
     def trace(self, padded: np.ndarray) -> np.ndarray:
@@ -212,21 +219,13 @@ class CompiledFunctional:
         return out
 
 
-def _check_alpha(m: SignedMeasure, s: Segment) -> None:
-    if abs(m.alpha - s.alpha) > DIV_RTOL * max(1.0, m.alpha, s.alpha):
-        raise ConfigurationError(
-            ALPHA_MISMATCH,
-            f"measure alpha {m.alpha} does not match segment alpha {s.alpha}",
-        )
-
-
 def apply_functional(m: SignedMeasure, s: Segment) -> float:
     """Integrate the segment against the measure.
 
     Exact for atom-only measures on grid points; second-order accurate in
     the step for the density part.
     """
-    _check_alpha(m, s)
+    require_match(m.alpha, s.alpha, ALPHA_MISMATCH, "measure alpha != segment alpha")
     return CompiledFunctional(m, s.step).value(s.values, 0)
 
 

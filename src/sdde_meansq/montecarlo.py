@@ -32,7 +32,7 @@ from scipy.special import ndtri
 
 from .errors import ConfigurationError, BAD_VALUE, GRID_MISALIGNED
 from .measures import CompiledFunctional, Segment, SignedMeasure
-from .quadrature import exact_divisions
+from .quadrature import exact_divisions, require_match
 from .resolvent import (
     ResolventTable,
     SolutionTable,
@@ -204,10 +204,7 @@ def simulate_mean_square(
     Diverged paths, judged on sqrt(w) |X|, poison the estimate visibly
     (NaN/inf) and are counted.
     """
-    if abs(phi.step - cfg.step) > 1e-12 * cfg.step:
-        raise ConfigurationError(
-            GRID_MISALIGNED, f"initial segment step {phi.step} != config step {cfg.step}"
-        )
+    require_match(phi.step, cfg.step, GRID_MISALIGNED, "initial segment step != config step")
     n_steps = exact_divisions(cfg.horizon, cfg.step, "horizon")
     f_mu = CompiledFunctional(mu, cfg.step)
     g_nu = CompiledFunctional(nu, cfg.step)

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ProblemSpec, config_hash
-from .errors import ConfigurationError, SCHEMA_INVALID
+from .errors import ConfigurationError, NumericalError, SCHEMA_INVALID
 from .montecarlo import MomentEstimate, SimulationConfig, simulate_mean_square
 from .renewal import RenewalProblem, mean_square_trace, solve_renewal
 from .resolvent import (
@@ -33,7 +33,6 @@ from .stability import (
     kernel_first_moment,
     limit_constant_critical,
     limit_constant_supercritical,
-    norm_sq_GR,
     solution_functional_trace,
     solve_kappa_supercritical,
     solve_theta_subcritical,
@@ -60,7 +59,7 @@ def analyze(spec: ProblemSpec) -> Analysis:
     rho = decay_rate_estimate(r.trace)
     r_sq_int, _ = l2_norm_sq_tail(r.trace)
     gr = g_of_r_trace(r, spec.nu)
-    norm_sq, trunc = norm_sq_GR(gr)
+    norm_sq, trunc = l2_norm_sq_tail(gr)
     kernel = GridTrace(h, gr.values**2)
     phi_seg = spec.phi_segment()
     x = deterministic_solution(spec.mu, phi_seg, h, T)
@@ -168,7 +167,8 @@ def run_pipeline(spec: ProblemSpec, commands: set[str], out_dir: str = ".") -> i
 
     Returns the exit code: 0 on success, 2 when a classification came back
     UNCERTIFIED.  Configuration and numerical errors propagate to the
-    caller; partially written artifacts are removed.
+    caller; partially written artifacts are removed.  Diverged Monte Carlo
+    paths are a numerical error, so no estimate they poisoned is written.
     """
     unknown = set(commands) - set(COMMANDS)
     if unknown:
@@ -209,6 +209,11 @@ def run_pipeline(spec: ProblemSpec, commands: set[str], out_dir: str = ".") -> i
             )
         if commands & {"simulate", "compare"}:
             estimate = monte_carlo_mean_square(spec)
+            if not estimate.valid:
+                raise NumericalError(
+                    f"{estimate.diverged_paths} of {estimate.path_count} Monte Carlo "
+                    "paths diverged; shorten the horizon T"
+                )
         if "simulate" in commands:
             emit_csv(
                 track("meansq_mc.csv"),

@@ -1,4 +1,4 @@
-"""Quadrature helpers shared by the solver modules."""
+"""Quadrature and grid-matching helpers shared by the solver modules."""
 
 import numpy as np
 
@@ -18,6 +18,16 @@ def exact_divisions(span: float, h: float, what: str = "span") -> int:
             GRID_MISALIGNED, f"step {h} does not divide {what} {span} exactly"
         )
     return n
+
+
+def require_match(a: float, b: float, code: str, message: str, field: str | None = None) -> None:
+    """Raise ConfigurationError(code) unless the grid quantities a and b agree.
+
+    Alphas and steps that must coincide are compared here, to DIV_RTOL
+    relative to the smaller magnitude.
+    """
+    if not abs(a - b) <= DIV_RTOL * min(abs(a), abs(b)):
+        raise ConfigurationError(code, f"{message}: {a} != {b}", field=field)
 
 
 def trapezoid(values: np.ndarray, h: float) -> float:

@@ -39,6 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, NumericalError, BAD_VALUE, GRID_MISALIGNED, STEP_TOO_LARGE
+from .quadrature import require_match
 from .resolvent import GridTrace, ResolventTable
 from .stability import bisect_decreasing
 
@@ -60,9 +61,10 @@ class RenewalProblem:
 
     def __post_init__(self):
         f, g = self.forcing, self.kernel
-        if abs(f.step - g.step) > 1e-12 * f.step or len(f) != len(g):
+        require_match(f.step, g.step, GRID_MISALIGNED, "forcing and kernel must share the step")
+        if len(f) != len(g):
             raise ConfigurationError(
-                GRID_MISALIGNED, "forcing and kernel must share step and horizon"
+                GRID_MISALIGNED, "forcing and kernel must share the horizon"
             )
         for name, tr in (("forcing", f), ("kernel", g)):
             lo = tr.values.min()
@@ -213,8 +215,8 @@ def mean_square_trace(x: GridTrace, r: ResolventTable, y: GridTrace) -> GridTrac
     """
     rv = r.trace.values
     h = x.step
-    if abs(r.step - h) > 1e-12 * h or abs(y.step - h) > 1e-12 * h:
-        raise ConfigurationError(GRID_MISALIGNED, "traces must share the grid step")
+    for tr in (r, y):
+        require_match(tr.step, h, GRID_MISALIGNED, "traces must share the grid step")
     n_pts = min(x.values.size, rv.size, y.values.size)
     yv = y.values[:n_pts]
     pw = _log_slope(yv, h) * h * np.arange(n_pts)

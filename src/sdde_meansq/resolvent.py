@@ -9,7 +9,9 @@ The fundamental solution starts from a unit value at time 0 with zero
 history.  That unit jump makes the integrand of the step rule discontinuous
 exactly when a point mass of mu crosses time 0; the corrector stage
 therefore evaluates left limits at those crossings, which keeps the scheme
-second order through the kinks.
+second order through the kinks.  Both traces come from one Heun march,
+``_march``, which differs between them only in how the functional is
+evaluated.
 """
 
 import math
@@ -19,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigurationError, GridRangeError, ALPHA_MISMATCH, BAD_VALUE, GRID_MISALIGNED
 from .measures import CompiledFunctional, Segment, SignedMeasure
-from .quadrature import corrected_trapezoid, exact_divisions
+from .quadrature import corrected_trapezoid, exact_divisions, require_match
 
 #: least-squares envelope slopes flatter than this count as "no trend"
 _FLAT_SLOPE = 1e-12
@@ -36,10 +38,6 @@ class GridTrace:
         self.values = np.asarray(self.values, dtype=float)
         if self.values.ndim != 1 or self.values.size < 1:
             raise ConfigurationError(BAD_VALUE, "trace needs a 1-d, nonempty value array")
-
-    @property
-    def horizon(self) -> float:
-        return self.step * (self.values.size - 1)
 
     def times(self) -> np.ndarray:
         return self.step * np.arange(self.values.size)
@@ -81,22 +79,23 @@ class ResolventTable(_HistoryTable):
     at all nodes before time 0.
     """
 
-    zero_extended = True
-
 
 class SolutionTable(_HistoryTable):
     """Deterministic solution on [0, T], retaining its initial segment."""
 
-    zero_extended = False
 
-    @property
-    def history(self) -> Segment:
-        return Segment(self.alpha, self.step, self.padded[: self.n_hist + 1].copy())
+def _march(padded: np.ndarray, n_hist: int, h: float, k1_at, k2_at) -> None:
+    """Heun steps that fill ``padded[n_hist + 1:]`` in place.
 
-
-def extract_segment(table: _HistoryTable, t: float) -> Segment:
-    """History segment (values on [t-alpha, t]) of a computed table."""
-    return table.segment(t)
+    ``padded[: n_hist + 1]`` holds the initial segment.  The predictor
+    slope is ``k1_at(padded, n)`` on the segment of step n, the corrector
+    slope ``k2_at(padded, n + 1)`` on the predicted segment of step n + 1.
+    """
+    for n in range(padded.size - n_hist - 1):
+        k1 = k1_at(padded, n)
+        padded[n_hist + n + 1] = padded[n_hist + n] + h * k1
+        k2 = k2_at(padded, n + 1)
+        padded[n_hist + n + 1] = padded[n_hist + n] + 0.5 * h * (k1 + k2)
 
 
 def compute_resolvent(mu: SignedMeasure, h: float, T: float) -> ResolventTable:
@@ -106,11 +105,8 @@ def compute_resolvent(mu: SignedMeasure, h: float, T: float) -> ResolventTable:
     F = CompiledFunctional(mu, h)
     R = np.zeros(N + steps + 1)
     R[N] = 1.0
-    for n in range(steps):
-        k1 = F.value_at_unit_jump(R, n, "right")
-        R[N + n + 1] = R[N + n] + h * k1
-        k2 = F.value_at_unit_jump(R, n + 1, "left")
-        R[N + n + 1] = R[N + n] + 0.5 * h * (k1 + k2)
+    jump = F.value_at_unit_jump
+    _march(R, N, h, lambda p, n: jump(p, n, "right"), lambda p, n: jump(p, n, "left"))
     return ResolventTable(mu.alpha, h, R)
 
 
@@ -118,24 +114,14 @@ def deterministic_solution(
     mu: SignedMeasure, phi: Segment, h: float, T: float
 ) -> SolutionTable:
     """Solution of the delay equation with initial segment ``phi`` on [0, T]."""
-    if abs(mu.alpha - phi.alpha) > 1e-12 * max(1.0, mu.alpha):
-        raise ConfigurationError(
-            ALPHA_MISMATCH, f"measure alpha {mu.alpha} != segment alpha {phi.alpha}"
-        )
-    if abs(phi.step - h) > 1e-12 * h:
-        raise ConfigurationError(
-            GRID_MISALIGNED, f"initial segment step {phi.step} != solver step {h}"
-        )
+    require_match(mu.alpha, phi.alpha, ALPHA_MISMATCH, "measure alpha != segment alpha")
+    require_match(phi.step, h, GRID_MISALIGNED, "initial segment step != solver step")
     N = exact_divisions(mu.alpha, h, "alpha")
     steps = exact_divisions(T, h, "horizon")
     F = CompiledFunctional(mu, h)
     X = np.empty(N + steps + 1)
     X[: N + 1] = phi.values
-    for n in range(steps):
-        k1 = F.value(X, n)
-        X[N + n + 1] = X[N + n] + h * k1
-        k2 = F.value(X, n + 1)
-        X[N + n + 1] = X[N + n] + 0.5 * h * (k1 + k2)
+    _march(X, N, h, F.value, F.value)
     return SolutionTable(mu.alpha, h, X)
 
 

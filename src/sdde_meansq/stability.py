@@ -16,14 +16,8 @@ import numpy as np
 
 from .errors import ConfigurationError, NumericalError, ALPHA_MISMATCH, BAD_VALUE
 from .measures import CompiledFunctional, Segment, SignedMeasure, total_variation
-from .quadrature import corrected_trapezoid, exact_divisions
-from .resolvent import (
-    GridTrace,
-    ResolventTable,
-    SolutionTable,
-    deterministic_solution,
-    l2_norm_sq_tail,
-)
+from .quadrature import corrected_trapezoid, exact_divisions, require_match
+from .resolvent import GridTrace, ResolventTable, SolutionTable, deterministic_solution
 
 SUBCRITICAL = "SUBCRITICAL"
 CRITICAL = "CRITICAL"
@@ -69,22 +63,20 @@ def g_of_r_trace(r: ResolventTable, nu: SignedMeasure) -> GridTrace:
     wherever a point mass of nu crosses time 0.  At those grid nodes the
     stored value is the root mean square of the one-sided limits, so that
     trapezoidal integrals of the squared trace (the renewal kernel and all
-    tilted masses) stay second-order accurate through the jumps.
+    tilted masses) stay second-order accurate through the jumps.  Elsewhere
+    the value is the right limit, as ``CompiledFunctional.value_at_unit_jump``
+    gives it; both read the same ``jump_loss`` weights.
     """
-    if abs(nu.alpha - r.alpha) > 1e-12 * max(1.0, r.alpha):
-        raise ConfigurationError(
-            ALPHA_MISMATCH, f"measure alpha {nu.alpha} != resolvent alpha {r.alpha}"
-        )
+    require_match(nu.alpha, r.alpha, ALPHA_MISMATCH, "measure alpha != resolvent alpha")
     F = CompiledFunctional(nu, r.step)
     N = F.n_intervals
     padded = r.padded
     out = F.trace(padded)
     v0 = padded[N]
-    if F.dens_weights is not None:
-        for n in range(min(N, out.size - 1) + 1):
-            j = N - n
-            keep = 0.0 if j == N else (1.0 if j == 0 else 0.5)
-            out[n] -= (1.0 - keep) * F.dens_weights[j] * v0
+    if F.jump_loss is not None:
+        # the segment of step n holds time 0 at offset N - n
+        m = min(N, out.size - 1) + 1
+        out[:m] -= F.jump_loss[::-1][:m] * v0
     for j, w in F.atom_at.items():
         n = N - j
         if 0 < n < out.size:
@@ -97,17 +89,9 @@ def g_of_r_trace(r: ResolventTable, nu: SignedMeasure) -> GridTrace:
 
 def solution_functional_trace(x: SolutionTable, nu: SignedMeasure) -> GridTrace:
     """Trace t -> G(x_t) of the diffusion functional along a solution."""
-    if abs(nu.alpha - x.alpha) > 1e-12 * max(1.0, x.alpha):
-        raise ConfigurationError(
-            ALPHA_MISMATCH, f"measure alpha {nu.alpha} != solution alpha {x.alpha}"
-        )
+    require_match(nu.alpha, x.alpha, ALPHA_MISMATCH, "measure alpha != solution alpha")
     F = CompiledFunctional(nu, x.step)
     return GridTrace(x.step, F.trace(x.padded))
-
-
-def norm_sq_GR(gr: GridTrace) -> tuple[float, float]:
-    """Squared L2 statistic of the G(r) trace with its truncation estimate."""
-    return l2_norm_sq_tail(gr)
 
 
 def classify(norm_sq: float, truncation_error: float, band: float | None = None) -> str:
@@ -265,7 +249,8 @@ def solve_b0(c: float, d: float, alpha: float) -> float:
     drifts below it are mean-square stable for the two-atom noise
     (c at lag 0, d at lag alpha).  For c*d >= 0 the function is strictly
     increasing, so the root is unique; in general the largest root is
-    bracketed by a downward scan from 0 and polished by bisection.
+    bracketed by a downward scan from 0 and polished by bisection
+    (``bisect_decreasing`` on -fn).
     """
     if c == 0.0 and d == 0.0:
         raise ValueError("c and d must not both be zero")
@@ -274,26 +259,16 @@ def solve_b0(c: float, d: float, alpha: float) -> float:
     def fn(b):
         return s + 2.0 * c * d * math.exp(b * alpha) + 2.0 * b
 
-    b_hi = 0.0
-    f_hi = fn(b_hi)
-    if f_hi == 0.0:
+    f0 = fn(0.0)
+    if f0 == 0.0:
         return 0.0
-    if f_hi < 0.0:
+    if f0 < 0.0:
         raise NumericalError("no negative root: function already negative at 0")
     b_floor = -(0.5 * (abs(c) + abs(d)) ** 2 + 1.0)
     step = max(1e-2, abs(b_floor) / 1000.0)
-    b_lo = b_hi
+    b_lo = 0.0
     while fn(b_lo) > 0.0:
         b_lo -= step
         if b_lo < 2.0 * b_floor:
             raise NumericalError("failed to bracket the stability boundary")
-    b_hi = b_lo + step
-    for _ in range(_MAX_BISECT):
-        mid = 0.5 * (b_lo + b_hi)
-        if fn(mid) > 0.0:
-            b_hi = mid
-        else:
-            b_lo = mid
-        if b_hi - b_lo <= 1e-10 * max(1.0, abs(b_lo)):
-            break
-    return 0.5 * (b_lo + b_hi)
+    return bisect_decreasing(lambda b: -fn(b), b_lo, b_lo + step, target=0.0)

@@ -28,7 +28,7 @@ from sdde_meansq import (
     detect_degenerate,
     example_norm_formula,
     g_of_r_trace,
-    norm_sq_GR,
+    l2_norm_sq_tail,
     parse_config,
     renewal_mean_square,
     simulate_mean_square,
@@ -80,7 +80,7 @@ def _numeric_norm(b, c, d, alpha):
     mu = SignedMeasure(alpha, atoms=((0.0, b),))
     nu = SignedMeasure(alpha, atoms=((0.0, c), (-alpha, d)))
     r = compute_resolvent(mu, h, T)
-    value, tail = norm_sq_GR(g_of_r_trace(r, nu))
+    value, tail = l2_norm_sq_tail(g_of_r_trace(r, nu))
     return value, tail, h
 
 

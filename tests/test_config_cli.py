@@ -202,6 +202,18 @@ class TestCli:
         assert cli_main(["classify", "--config", cfg, "--out", str(tmp_path)]) == 3
         assert "synthetic failure" in capsys.readouterr().err
 
+    def test_diverged_paths_exit_numerical_failure(self, tmp_path, capsys):
+        d = doc(
+            mu={"atoms": [[0, 60]]},
+            nu={"atoms": [[0, 3]]},
+            numerical={"h": 0.01, "T": 10, "mc": {"paths": 64, "seed": 3, "workers": 1}},
+        )
+        cfg = _write(tmp_path, d)
+        out = tmp_path / "out"
+        assert cli_main(["simulate", "--config", cfg, "--out", str(out)]) == 3
+        assert "64 of 64 Monte Carlo paths diverged" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     def test_simulate_requires_mc_settings(self, tmp_path):
         cfg = _write(tmp_path, doc(numerical={"h": 0.01, "T": 1}))
         assert cli_main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 1

@@ -8,9 +8,20 @@ from hypothesis import strategies as st
 from sdde_meansq import (
     AtomAlignmentError,
     ConfigurationError,
+    GridTrace,
+    PhiSpec,
+    ProblemSpec,
+    RenewalProblem,
     Segment,
     SignedMeasure,
+    SimulationConfig,
     apply_functional,
+    compute_resolvent,
+    deterministic_solution,
+    g_of_r_trace,
+    mean_square_trace,
+    simulate_mean_square,
+    solution_functional_trace,
     total_variation,
 )
 
@@ -65,6 +76,77 @@ class TestApplyFunctional:
             errs.append(abs(apply_functional(m, s) - exact))
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.2)
         assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.2)
+
+
+#: alpha and step 1e-9 off in relative terms, far beyond rounding
+ALPHA_OFF = 1.0 + 1e-9
+STEP_OFF = 0.1 * (1.0 + 1e-9)
+
+
+def _decay(alpha):
+    return SignedMeasure(alpha, atoms=((0.0, -1.0),))
+
+
+def _ones(alpha, h):
+    return Segment(alpha, h, np.ones(round(alpha / h) + 1))
+
+
+#: every place where two alphas or two steps must coincide; each case is
+#: 1e-9 off and reaches its own comparison (alpha 0 lets a segment carry any step)
+MISMATCH_SITES = {
+    "apply_functional": (
+        "ALPHA_MISMATCH", lambda: apply_functional(_decay(1.0), _ones(ALPHA_OFF, ALPHA_OFF / 10))
+    ),
+    "SignedMeasure.__add__": ("ALPHA_MISMATCH", lambda: _decay(1.0) + _decay(ALPHA_OFF)),
+    "ProblemSpec": (
+        "ALPHA_MISMATCH",
+        lambda: ProblemSpec(1.0, _decay(1.0), _decay(ALPHA_OFF), PhiSpec("constant"), 0.1, 1.0),
+    ),
+    "deterministic_solution alpha": (
+        "ALPHA_MISMATCH",
+        lambda: deterministic_solution(_decay(1.0), _ones(ALPHA_OFF, ALPHA_OFF / 10), 0.1, 1.0),
+    ),
+    "g_of_r_trace": (
+        "ALPHA_MISMATCH",
+        lambda: g_of_r_trace(compute_resolvent(_decay(1.0), 0.1, 1.0), _decay(ALPHA_OFF)),
+    ),
+    "solution_functional_trace": (
+        "ALPHA_MISMATCH",
+        lambda: solution_functional_trace(
+            deterministic_solution(_decay(1.0), _ones(1.0, 0.1), 0.1, 1.0), _decay(ALPHA_OFF)
+        ),
+    ),
+    "deterministic_solution step": (
+        "GRID_MISALIGNED",
+        lambda: deterministic_solution(_decay(0.0), _ones(0.0, STEP_OFF), 0.1, 1.0),
+    ),
+    "simulate_mean_square": (
+        "GRID_MISALIGNED",
+        lambda: simulate_mean_square(
+            _decay(0.0), _decay(0.0), _ones(0.0, STEP_OFF), SimulationConfig(0.1, 1.0, 2)
+        ),
+    ),
+    "RenewalProblem": (
+        "GRID_MISALIGNED",
+        lambda: RenewalProblem(GridTrace(0.1, np.ones(11)), GridTrace(STEP_OFF, np.ones(11))),
+    ),
+    "mean_square_trace": (
+        "GRID_MISALIGNED",
+        lambda: mean_square_trace(
+            GridTrace(0.1, np.ones(11)),
+            compute_resolvent(_decay(1.0), 0.1, 1.0),
+            GridTrace(STEP_OFF, np.ones(11)),
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("site", sorted(MISMATCH_SITES))
+def test_grid_mismatch_rejected_at_every_site(site):
+    code, call = MISMATCH_SITES[site]
+    with pytest.raises(ConfigurationError) as err:
+        call()
+    assert err.value.code == code
 
 
 class TestTotalVariation:

@@ -14,7 +14,6 @@ from sdde_meansq import (
     compute_resolvent,
     decay_rate_estimate,
     deterministic_solution,
-    extract_segment,
     l2_norm_sq_tail,
 )
 from sdde_meansq.quadrature import trapezoid
@@ -70,27 +69,27 @@ class TestExtractSegment:
     def test_resolvent_at_zero(self):
         mu = SignedMeasure(1.0, atoms=((0.0, -1.0),))
         r = compute_resolvent(mu, 0.25, 1.0)
-        s = extract_segment(r, 0.0)
+        s = r.segment(0.0)
         assert list(s.values) == [0.0, 0.0, 0.0, 0.0, 1.0]
 
     def test_pure_delay_at_one(self):
         mu = SignedMeasure(1.0, atoms=((-1.0, 1.0),))
         r = compute_resolvent(mu, 0.25, 2.0)
-        s = extract_segment(r, 1.0)
+        s = r.segment(1.0)
         assert np.allclose(s.values, 1.0, atol=1e-14)
 
     def test_solution_history(self):
         mu = SignedMeasure(1.0, atoms=((0.0, -1.0),))
         x = deterministic_solution(mu, const_phi(1.0, 0.25), 0.25, 1.0)
-        assert np.all(extract_segment(x, 0.0).values == 1.0)
+        assert np.all(x.segment(0.0).values == 1.0)
 
     def test_off_grid_time_rejected(self):
         mu = SignedMeasure(1.0, atoms=((0.0, -1.0),))
         r = compute_resolvent(mu, 0.25, 1.0)
         with pytest.raises(GridRangeError):
-            extract_segment(r, 0.1)
+            r.segment(0.1)
         with pytest.raises(GridRangeError):
-            extract_segment(r, 1.25)
+            r.segment(1.25)
 
 
 class TestDeterministicSolution:

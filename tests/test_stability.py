@@ -23,13 +23,14 @@ from sdde_meansq import (
     g_of_r_trace,
     limit_constant_critical,
     limit_constant_supercritical,
-    norm_sq_GR,
+    l2_norm_sq_tail,
     parse_config,
     solve_b0,
     solve_kappa_supercritical,
     solve_theta_subcritical,
     tilted_kernel_mass,
 )
+from sdde_meansq.measures import CompiledFunctional
 
 E = math.e
 
@@ -53,7 +54,7 @@ def two_atom_problem(b, c, d, alpha, h=1e-3, T=20.0):
 def numeric_norm_sq(b, c, d, alpha, h=1e-3, T=20.0):
     mu, nu = two_atom_problem(b, c, d, alpha)
     r = compute_resolvent(mu, h, T)
-    return norm_sq_GR(g_of_r_trace(r, nu))
+    return l2_norm_sq_tail(g_of_r_trace(r, nu))
 
 
 class TestGOfRTrace:
@@ -92,6 +93,31 @@ class TestGOfRTrace:
         n = round(1.0 / 1e-3)
         assert gr.values[n] ** 2 == pytest.approx(0.5, rel=1e-4)
 
+    def test_shares_the_unit_jump_rule(self):
+        # noise atoms at lags 0, -alpha/4 and -alpha plus a density that is
+        # nonzero at both segment ends; the lag -alpha/4 and -alpha atoms
+        # cross time 0 at s = alpha/4 and s = alpha (nodes 2 and 8)
+        h = 0.125
+        mu = SignedMeasure(
+            1.0, atoms=((0.0, -1.0), (-0.5, 0.25)), density=((-1.0, 0.3), (0.0, -0.2))
+        )
+        nu = SignedMeasure(
+            1.0,
+            atoms=((0.0, 0.7), (-0.25, -1.3), (-1.0, 0.4)),
+            density=((-1.0, 0.5), (-0.5, -0.2), (0.0, 0.9)),
+        )
+        r = compute_resolvent(mu, h, 3.0)
+        gr = g_of_r_trace(r, nu)
+        F = CompiledFunctional(nu, h)
+        for n in range(len(gr)):
+            right = F.value_at_unit_jump(r.padded, n, "right")
+            expected = right
+            if n in (2, 8):
+                left = F.value_at_unit_jump(r.padded, n, "left")
+                assert left != right
+                expected = math.copysign(math.sqrt(0.5 * (left * left + right * right)), right)
+            assert gr.values[n] == pytest.approx(expected, rel=1e-12, abs=1e-14)
+
 
 class TestNormSq:
     @pytest.mark.parametrize(
@@ -119,19 +145,19 @@ class TestNormSq:
         mu = SignedMeasure(1.0, atoms=((0.0, -1.0),))
         nu = SignedMeasure(1.0, atoms=((0.0, 1.0), (-1.0, 0.5)))
         r = compute_resolvent(mu, 0.01, 15.0)
-        base, _ = norm_sq_GR(g_of_r_trace(r, nu))
+        base, _ = l2_norm_sq_tail(g_of_r_trace(r, nu))
         for lam in (0.5, 2.0, 3.0):
-            scaled, _ = norm_sq_GR(g_of_r_trace(r, nu.scaled(lam)))
+            scaled, _ = l2_norm_sq_tail(g_of_r_trace(r, nu.scaled(lam)))
             assert scaled == pytest.approx(lam * lam * base, rel=1e-12)
 
     def test_classification_flips_across_unit_scale(self):
         mu = SignedMeasure(1.0, atoms=((0.0, -1.0),))
         nu = SignedMeasure(1.0, atoms=((0.0, 1.0), (-1.0, 0.5)))
         r = compute_resolvent(mu, 0.01, 15.0)
-        base, tail = norm_sq_GR(g_of_r_trace(r, nu))
+        base, tail = l2_norm_sq_tail(g_of_r_trace(r, nu))
         crit = 1.0 / math.sqrt(base)
         for lam, expected in ((0.9 * crit, SUBCRITICAL), (1.1 * crit, SUPERCRITICAL)):
-            value, tail = norm_sq_GR(g_of_r_trace(r, nu.scaled(lam)))
+            value, tail = l2_norm_sq_tail(g_of_r_trace(r, nu.scaled(lam)))
             assert classify(value, tail) == expected
 
 
