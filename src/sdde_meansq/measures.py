@@ -17,7 +17,7 @@ from .errors import (
     AtomAlignmentError,
     ConfigurationError,
 )
-from .quadrature import DIV_RTOL, exact_divisions, require_match
+from .quadrature import DIV_RTOL, convolve, exact_divisions, require_match
 
 #: atoms must hit a grid node within this fraction of the step
 ATOM_RTOL = 1e-9
@@ -123,7 +123,7 @@ class CompiledFunctional:
     """A measure bound to a fixed segment grid for repeated evaluation.
 
     Point masses become (offset, weight) pairs into the segment; the density
-    is resampled onto the grid and folded with trapezoidal weights.  All
+    is resampled onto the grid and folded with trapezoidal weights.  The
     evaluators take a zero-padded or history-padded trace array ``padded``
     in which the segment of step ``n`` is ``padded[n : n + N + 1]``.
 
@@ -186,26 +186,24 @@ class CompiledFunctional:
             acc += self.dens_weights @ padded[n : n + self.n_intervals + 1]
         return acc
 
-    def value_at_unit_jump(self, padded: np.ndarray, n: int, side: str) -> float:
-        """Evaluation on a segment whose underlying function jumps at time 0.
+    def value_at_unit_jump(self, plain: np.ndarray, v0: float) -> tuple[np.ndarray, np.ndarray]:
+        """Right- and left-limit values at every step of a trace that jumps at time 0.
 
-        Used for impulse-started traces that are zero before time 0.  For
-        steps whose segment still contains the time-0 node, point masses at
-        that node take the right limit (the stored value) or the left limit
-        (zero) according to ``side``, and the density integration gives the
-        node the fraction of its weight on the nonzero side of the jump
-        (``jump_loss``).
+        ``plain`` holds the plain evaluations (``trace``) of a function that
+        is zero before time 0 and ``v0`` at time 0.  Where a segment holds
+        the time-0 node, the density gives that node the fraction of its
+        weight on the nonzero side of the jump (``jump_loss``), and point
+        masses there read ``v0`` for the right limit and zero for the left.
         """
-        acc = self.value(padded, n)
         N = self.n_intervals
-        if n <= N:
-            j = N - n
-            v0 = padded[N]
-            if side == "left" and j in self.atom_at:
-                acc -= self.atom_at[j] * v0
-            if self.jump_loss is not None:
-                acc -= self.jump_loss[j] * v0
-        return float(acc)
+        right = np.array(plain, dtype=float)
+        if self.jump_loss is not None:
+            right[: N + 1] -= (self.jump_loss[::-1] * v0)[: right.size]
+        left = right.copy()
+        for off, w in self.atom_at.items():
+            if N - off < left.size:
+                left[N - off] -= w * v0
+        return right, left
 
     def trace(self, padded: np.ndarray) -> np.ndarray:
         """Plain evaluation at every step; returns len(padded) - N values."""
@@ -215,7 +213,7 @@ class CompiledFunctional:
         for off, w in self.atom_items:
             out += w * padded[off : off + out_len]
         if self.dens_weights is not None:
-            out += np.correlate(padded, self.dens_weights, mode="valid")
+            out += convolve(self.dens_weights[::-1], padded, padded.size)[N:]
         return out
 
 

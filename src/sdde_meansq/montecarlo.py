@@ -32,7 +32,7 @@ from scipy.special import ndtri
 
 from .errors import ConfigurationError, BAD_VALUE, GRID_MISALIGNED
 from .measures import CompiledFunctional, Segment, SignedMeasure
-from .quadrature import exact_divisions, require_match
+from .quadrature import convolve, exact_divisions, require_match
 from .resolvent import (
     ResolventTable,
     SolutionTable,
@@ -277,16 +277,11 @@ def variation_of_constants_residual(
     recorded data and returns max_t |X(t) - rebuilt(t)|.
     """
     g_dw = record.noise_values * record.increments
-    rv = r.trace.values
+    n = g_dw.size
     xv = x.trace.values
-    n_steps = g_dw.size
-    rv_rev = rv[::-1].copy()
-    last = rv.size - 1
-    worst = abs(record.values[0] - xv[0])
-    for m in range(1, n_steps + 1):
-        conv = float(np.dot(g_dw[:m], rv_rev[last - m : last]))
-        worst = max(worst, abs(record.values[m] - (xv[m] + conv)))
-    return float(worst)
+    rebuilt = xv[1 : n + 1] + convolve(r.trace.values[1:], g_dw, n)
+    gap = np.abs(record.values[1 : n + 1] - rebuilt)
+    return float(gap.max(initial=abs(record.values[0] - xv[0])))
 
 
 def verify_variation_of_constants(

@@ -10,6 +10,7 @@ import numpy as np
 from .config import ProblemSpec, config_hash
 from .errors import ConfigurationError, NumericalError, SCHEMA_INVALID
 from .montecarlo import MomentEstimate, SimulationConfig, simulate_mean_square
+from .quadrature import require_finite
 from .renewal import RenewalProblem, mean_square_trace, solve_renewal
 from .resolvent import (
     GridTrace,
@@ -56,11 +57,13 @@ def analyze(spec: ProblemSpec) -> Analysis:
     """Resolvent, statistic, classification, exponents, and limit constants."""
     h, T = spec.h, spec.T
     r = compute_resolvent(spec.mu, h, T)
+    with np.errstate(over="ignore"):
+        require_finite(r.trace.values**2, h, "squared resolvent r^2")
+        gr = g_of_r_trace(r, spec.nu)
+        kernel = GridTrace(h, require_finite(gr.values**2, h, "noise kernel G(r_s)^2"))
     rho = decay_rate_estimate(r.trace)
     r_sq_int, _ = l2_norm_sq_tail(r.trace)
-    gr = g_of_r_trace(r, spec.nu)
     norm_sq, trunc = l2_norm_sq_tail(gr)
-    kernel = GridTrace(h, gr.values**2)
     phi_seg = spec.phi_segment()
     x = deterministic_solution(spec.mu, phi_seg, h, T)
     forcing = GridTrace(h, solution_functional_trace(x, spec.nu).values ** 2)
@@ -134,17 +137,10 @@ def monte_carlo_mean_square(spec: ProblemSpec) -> MomentEstimate:
     return simulate_mean_square(spec.mu, spec.nu, spec.phi_segment(), cfg)
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def emit_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
     """Fixed column order, 17 significant digits, LF line endings."""
-    n = columns[0].size if columns else 0
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for i in range(n):
-            fh.write(",".join(_fmt(col[i]) for col in columns) + "\n")
+    np.savetxt(path, np.column_stack(columns), fmt="%.17g", delimiter=",",
+               header=",".join(header), comments="")
 
 
 def report_document(spec: ProblemSpec, report: StabilityReport) -> dict:

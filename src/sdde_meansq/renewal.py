@@ -1,20 +1,11 @@
 """Linear renewal equation solver and second-moment reconstruction.
 
 The equation y(t) = f(t) + integral of g(s) y(t-s) ds over [0, t] is
-discretized with trapezoidal product quadrature; each grid value solves the
-scalar diagonal equation once the history sum up to it is known.  The
-second moment of the stochastic solution is then x(t)^2 plus the
-trapezoidal convolution of the squared fundamental solution with y.
-
-Both convolutions go through one block FFT helper, ``_convolve``, whose
-transforms never exceed ``_FFT_BLOCK`` points.  The renewal solve is the
-divide-and-conquer scheme of Hairer, Lubich and Schlichte (SIAM J. Sci.
-Stat. Comput. 6, 1985): solve the left half of a grid range, add its
-history to the right half with one convolution, then solve the right half.
-It runs as one loop over blocks of ``_BASE`` points, each marched step by
-step, with the convolutions of the dyadic ranges that end at each block.
-The cost is O(n log^2 n) for n grid points instead of the O(n^2) of a
-plain march, and the second moment costs one convolution.
+discretized with trapezoidal product quadrature.  With the diagonal weight
+divided out, that is a causal recurrence in the grid values, solved in
+O(n log^2 n) by ``quadrature.solve_causal``.  The second moment of the
+stochastic solution is then x(t)^2 plus the trapezoidal convolution of the
+squared fundamental solution with y, one ``quadrature.convolve``.
 
 FFT round-off is relative to the largest value in a transform, so both
 routes work on exponentially tilted data and multiply the result back by
@@ -39,17 +30,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, NumericalError, BAD_VALUE, GRID_MISALIGNED, STEP_TOO_LARGE
-from .quadrature import require_match
+from .quadrature import convolve, require_finite, require_match, solve_causal, times_exp
 from .resolvent import GridTrace, ResolventTable
 from .stability import bisect_decreasing
 
 #: second moments may round slightly below zero; anything worse aborts
 _NEG_TOL = 1e-12
-#: grid ranges of at most this many points are marched step by step
-_BASE = 128
-#: longest FFT; longer convolutions are overlap-added from blocks
-_FFT_BLOCK = 4096
-_LOG_MAX = math.log(np.finfo(float).max)
 
 
 @dataclass(eq=False)
@@ -98,58 +84,11 @@ def malthusian_rate(kernel: GridTrace) -> float:
     return bisect_decreasing(lambda sg: d + float(np.exp(c - sg * s).sum()), lo, hi)
 
 
-def _spectra(v: np.ndarray, seg: int) -> np.ndarray:
-    """Real FFTs of length 2*seg of consecutive seg-point blocks of v."""
-    padded = np.zeros(-(-v.size // seg) * seg)
-    padded[: v.size] = v
-    return np.fft.rfft(padded.reshape(-1, seg), 2 * seg, axis=1)
-
-
-def _convolve(a: np.ndarray, b: np.ndarray, n_out: int) -> np.ndarray:
-    """First n_out terms of the linear convolution of a and b.
-
-    Both inputs are cut into blocks of at most _FFT_BLOCK / 2 points; block
-    products are summed in the frequency domain per output block and the
-    inverse transforms are overlap-added.
-    """
-    a, b = a[:n_out], b[:n_out]
-    seg = min(_FFT_BLOCK // 2, 1 << (max(a.size, b.size) - 1).bit_length())
-    n_blocks = -(-n_out // seg)
-    fa, fb = _spectra(a, seg), _spectra(b, seg)
-    acc = np.zeros((n_blocks, seg + 1), dtype=complex)
-    for i in range(min(len(fa), n_blocks)):
-        m = min(len(fb), n_blocks - i)
-        acc[i : i + m] += fa[i] * fb[:m]
-    blocks = np.fft.irfft(acc, 2 * seg, axis=1)
-    out = np.zeros((n_blocks + 1) * seg)
-    out[:-seg] += blocks[:, :seg].ravel()
-    out[seg:] += blocks[:, seg:].ravel()
-    return out[:n_out]
-
-
-def _times_exp(v: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """v * e^e for v >= 0; inf where the product leaves the float range.
-
-    Where e^e alone leaves the float range, the product is formed as
-    e^(log v + e), so tilting and untilting keep every representable value.
-    """
-    far = np.abs(e) > _LOG_MAX
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        return np.where(far, np.exp(np.log(v) + e), v * np.exp(np.where(far, 0.0, e)))
-
-
-def _require_finite(values: np.ndarray, h: float, what: str) -> np.ndarray:
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        raise NumericalError(
-            f"{what} leaves the floating-point range at t = {bad[0] * h:.6g}; "
-            "shorten the horizon T"
-        )
-    return values
-
-
 def solve_renewal(p: RenewalProblem) -> GridTrace:
-    """Solve the discretized renewal equation on tilted data; y(0) = f(0)."""
+    """Solve the discretized renewal equation on tilted data; y(0) = f(0).
+
+    The forcing takes back half of the k = n history term, the trapezoid end weight.
+    """
     f = p.forcing.values
     h = p.forcing.step
     diag = 0.5 * h * p.kernel.values[0]
@@ -159,41 +98,21 @@ def solve_renewal(p: RenewalProblem) -> GridTrace:
             f"h*g(0)/2 = {diag:.3g} >= 1; reduce the step to resolve the kernel",
         )
     pw = malthusian_rate(p.kernel) * p.forcing.times()
-    ft = _times_exp(f, -pw)
-    gt = _times_exp(p.kernel.values, -pw)
+    ft = times_exp(f, -pw)
+    gt = times_exp(p.kernel.values, -pw)
     scale = 1.0 / (1.0 - diag)
-    yt = np.empty(f.size)
+    yt = scale * (ft - 0.5 * h * gt * ft[0])
     yt[0] = ft[0]
-    # trapezoid history sum (without the factor h) over finished points
-    hist = 0.5 * gt * yt[0]
-    g_rev = gt[_BASE:0:-1].copy()  # g_rev[g_rev.size - k:] is g_k, ..., g_1
-    # Block j covers [lo, hi) = [1 + j B, 1 + (j + 1) B) and is marched point
-    # by point.  Once it is done, the 2^i blocks ending with it (2^i the
-    # largest power of two dividing j + 1) are the left half of a
-    # divide-and-conquer range: their history goes to the right half, the
-    # next 2^i blocks, in one convolution.
-    for j in range(-(-(f.size - 1) // _BASE)):
-        lo = 1 + j * _BASE
-        hi = min(lo + _BASE, f.size)
-        # the untilted value must not fall below -_NEG_TOL
-        floor = -_times_exp(_NEG_TOL, -pw[lo:hi])
-        for k, (fn, hn, bound) in enumerate(
-            zip(ft[lo:hi].tolist(), hist[lo:hi].tolist(), floor.tolist())
-        ):
-            n = lo + k
-            yn = (fn + h * (hn + float(np.dot(g_rev[g_rev.size - k :], yt[lo:n])))) * scale
-            if yn < bound:
-                raise NumericalError(
-                    f"renewal solution went negative at step {n}; "
-                    "the grid does not resolve the problem"
-                )
-            yt[n] = max(yn, 0.0)
-        half = _BASE * ((j + 1) & -(j + 1))
-        end = min(hi + half, f.size)
-        if hi < end:
-            left = hi - half
-            hist[hi:end] += _convolve(yt[left:hi], gt[: end - left], end - left)[half:]
-    return GridTrace(h, _require_finite(_times_exp(yt, pw), h, "renewal solution"))
+    solve_causal(scale * h * gt, yt, 1)
+    # the untilted value must not fall below -_NEG_TOL
+    bad = np.flatnonzero(yt < -times_exp(_NEG_TOL, -pw))
+    if bad.size:
+        raise NumericalError(
+            f"renewal solution went negative at step {bad[0]}; "
+            "the grid does not resolve the problem"
+        )
+    np.maximum(yt, 0.0, out=yt)
+    return GridTrace(h, require_finite(times_exp(yt, pw), h, "renewal solution"))
 
 
 def _log_slope(v: np.ndarray, h: float) -> float:
@@ -220,11 +139,11 @@ def mean_square_trace(x: GridTrace, r: ResolventTable, y: GridTrace) -> GridTrac
     n_pts = min(x.values.size, rv.size, y.values.size)
     yv = y.values[:n_pts]
     pw = _log_slope(yv, h) * h * np.arange(n_pts)
-    rsq = _times_exp(np.abs(rv[:n_pts]), -0.5 * pw) ** 2
-    yt = _times_exp(yv, -pw)
-    conv = _convolve(rsq, yt, n_pts) - 0.5 * (rsq[0] * yt + rsq * yt[0])
+    rsq = times_exp(np.abs(rv[:n_pts]), -0.5 * pw) ** 2
+    yt = times_exp(yv, -pw)
+    conv = convolve(rsq, yt, n_pts) - 0.5 * (rsq[0] * yt + rsq * yt[0])
     conv[0] = 0.0
     np.maximum(conv, 0.0, out=conv)
     with np.errstate(over="ignore"):
-        out = x.values[:n_pts] ** 2 + _times_exp(h * conv, pw)
-    return GridTrace(h, _require_finite(out, h, "second moment"))
+        out = x.values[:n_pts] ** 2 + times_exp(h * conv, pw)
+    return GridTrace(h, require_finite(out, h, "second moment"))

@@ -5,13 +5,14 @@ method of steps with an explicit Heun (trapezoidal predictor-corrector)
 integrator on a uniform grid whose step divides alpha, so every history
 lookup lands on a grid node and no interpolation is needed.
 
-The fundamental solution starts from a unit value at time 0 with zero
+A Heun step on a linear delay equation is a fixed linear recurrence, so
+both traces are one ``quadrature.solve_causal``.  The fundamental solution starts from a unit value at time 0 with zero
 history.  That unit jump makes the integrand of the step rule discontinuous
 exactly when a point mass of mu crosses time 0; the corrector stage
 therefore evaluates left limits at those crossings, which keeps the scheme
-second order through the kinks.  Both traces come from one Heun march,
-``_march``, which differs between them only in how the functional is
-evaluated.
+second order through the kinks.  The jump enters the recurrence as a known
+forcing on the first N steps, read off the right and left limits of
+``CompiledFunctional.value_at_unit_jump``.
 """
 
 import math
@@ -21,7 +22,7 @@ import numpy as np
 
 from .errors import ConfigurationError, GridRangeError, ALPHA_MISMATCH, BAD_VALUE, GRID_MISALIGNED
 from .measures import CompiledFunctional, Segment, SignedMeasure
-from .quadrature import corrected_trapezoid, exact_divisions, require_match
+from .quadrature import corrected_trapezoid, exact_divisions, require_match, solve_causal
 
 #: least-squares envelope slopes flatter than this count as "no trend"
 _FLAT_SLOPE = 1e-12
@@ -84,18 +85,21 @@ class SolutionTable(_HistoryTable):
     """Deterministic solution on [0, T], retaining its initial segment."""
 
 
-def _march(padded: np.ndarray, n_hist: int, h: float, k1_at, k2_at) -> None:
-    """Heun steps that fill ``padded[n_hist + 1:]`` in place.
+def _heun_recurrence(F: CompiledFunctional) -> tuple[np.ndarray, np.ndarray]:
+    """Taps a of one Heun step, x_(n+1) = sum_k a[k] x_(n+1-k), and the weights c.
 
-    ``padded[: n_hist + 1]`` holds the initial segment.  The predictor
-    slope is ``k1_at(padded, n)`` on the segment of step n, the corrector
-    slope ``k2_at(padded, n + 1)`` on the predicted segment of step n + 1.
+    With c the weights of ``F`` over segment offsets 0..N and F_n the
+    functional on the segment of step n, the step is (1 + h c_N / 2) x_n +
+    (h/2)(1 + h c_N) F_n + (h/2) sum_(i<N) c_i x_(n+1+i-N).  Trailing zeros
+    are trimmed, so ``mu = b delta_0`` gives a = [0, 1 + h b + (h b)^2 / 2].
     """
-    for n in range(padded.size - n_hist - 1):
-        k1 = k1_at(padded, n)
-        padded[n_hist + n + 1] = padded[n_hist + n] + h * k1
-        k2 = k2_at(padded, n + 1)
-        padded[n_hist + n + 1] = padded[n_hist + n] + 0.5 * h * (k1 + k2)
+    h, N = F.h, F.n_intervals
+    c = np.zeros(N + 1) if F.dens_weights is None else F.dens_weights.copy()
+    c[list(F.atom_at)] += list(F.atom_at.values())
+    taps = 0.5 * h * (1.0 + h * c[N]) * c
+    taps[1:] += 0.5 * h * c[:N]
+    taps[N] += 1.0 + 0.5 * h * c[N]
+    return np.trim_zeros(np.concatenate(([0.0], taps[::-1])), "b"), c
 
 
 def compute_resolvent(mu: SignedMeasure, h: float, T: float) -> ResolventTable:
@@ -103,10 +107,13 @@ def compute_resolvent(mu: SignedMeasure, h: float, T: float) -> ResolventTable:
     N = exact_divisions(mu.alpha, h, "alpha")
     steps = exact_divisions(T, h, "horizon")
     F = CompiledFunctional(mu, h)
+    a, c = _heun_recurrence(F)
     R = np.zeros(N + steps + 1)
     R[N] = 1.0
-    jump = F.value_at_unit_jump
-    _march(R, N, h, lambda p, n: jump(p, n, "right"), lambda p, n: jump(p, n, "left"))
+    # step n < N: right limit in the predictor, left limit at step n + 1
+    right, left = F.value_at_unit_jump(np.zeros(N + 1), 1.0)
+    R[N + 1 : 2 * N + 1] = (0.5 * h * ((1.0 + h * c[N]) * right[:N] + left[1:]))[:steps]
+    solve_causal(a, R, N + 1)
     return ResolventTable(mu.alpha, h, R)
 
 
@@ -118,10 +125,9 @@ def deterministic_solution(
     require_match(phi.step, h, GRID_MISALIGNED, "initial segment step != solver step")
     N = exact_divisions(mu.alpha, h, "alpha")
     steps = exact_divisions(T, h, "horizon")
-    F = CompiledFunctional(mu, h)
-    X = np.empty(N + steps + 1)
+    X = np.zeros(N + steps + 1)
     X[: N + 1] = phi.values
-    _march(X, N, h, F.value, F.value)
+    solve_causal(_heun_recurrence(CompiledFunctional(mu, h))[0], X, N + 1)
     return SolutionTable(mu.alpha, h, X)
 
 
@@ -133,18 +139,19 @@ def _envelope_fit(trace: GridTrace):
     over the last quarter of the window.  A decaying envelope gives a
     positive rate.  If that envelope is flat, the running maximum from the
     left is fitted instead so that growing traces report a negative rate.
-    A trace that is identically zero on the window has rate +inf.
+    A trace that is identically zero on the window has rate +inf.  The fit
+    ends at the last normal float: subnormal values read as a flat tail.
     """
     v = np.abs(trace.values)
-    n = v.size
-    if n < 8:
+    if v.size < 8:
         raise ConfigurationError(BAD_VALUE, "decay estimate needs at least 8 grid points")
     t = trace.times()
-    w0 = 3 * (n - 1) // 4
+    n = int(np.flatnonzero(v >= np.finfo(float).tiny).max(initial=-1)) + 1
+    w0 = 3 * max(n - 1, 0) // 4
     suffix = np.maximum.accumulate(v[::-1])[::-1]
 
     def logslope(env):
-        tw, ew = t[w0:], env[w0:]
+        tw, ew = t[w0:n], env[w0:n]
         mask = ew > 0.0
         if mask.sum() < 2:
             return None, 0.0

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigurationError, NumericalError, ALPHA_MISMATCH, BAD_VALUE
 from .measures import CompiledFunctional, Segment, SignedMeasure, total_variation
-from .quadrature import corrected_trapezoid, exact_divisions, require_match
+from .quadrature import corrected_trapezoid, exact_divisions, require_match, times_exp
 from .resolvent import GridTrace, ResolventTable, SolutionTable, deterministic_solution
 
 SUBCRITICAL = "SUBCRITICAL"
@@ -64,26 +64,15 @@ def g_of_r_trace(r: ResolventTable, nu: SignedMeasure) -> GridTrace:
     stored value is the root mean square of the one-sided limits, so that
     trapezoidal integrals of the squared trace (the renewal kernel and all
     tilted masses) stay second-order accurate through the jumps.  Elsewhere
-    the value is the right limit, as ``CompiledFunctional.value_at_unit_jump``
-    gives it; both read the same ``jump_loss`` weights.
+    the value is the right limit.  Both limits come from the resolvent's own
+    jump-at-0 rule, ``CompiledFunctional.value_at_unit_jump``.
     """
     require_match(nu.alpha, r.alpha, ALPHA_MISMATCH, "measure alpha != resolvent alpha")
     F = CompiledFunctional(nu, r.step)
-    N = F.n_intervals
-    padded = r.padded
-    out = F.trace(padded)
-    v0 = padded[N]
-    if F.jump_loss is not None:
-        # the segment of step n holds time 0 at offset N - n
-        m = min(N, out.size - 1) + 1
-        out[:m] -= F.jump_loss[::-1][:m] * v0
-    for j, w in F.atom_at.items():
-        n = N - j
-        if 0 < n < out.size:
-            right = out[n]
-            left = right - w * v0
-            rms = math.sqrt(0.5 * (left * left + right * right))
-            out[n] = math.copysign(rms, right if right != 0.0 else left)
+    out, left = F.value_at_unit_jump(F.trace(r.padded), r.padded[F.n_intervals])
+    n = np.flatnonzero(left[1:] != out[1:]) + 1
+    lo, hi = left[n], out[n]
+    out[n] = np.copysign(np.sqrt(0.5 * (lo * lo + hi * hi)), np.where(hi != 0.0, hi, lo))
     return GridTrace(r.step, out)
 
 
@@ -109,8 +98,7 @@ def classify(norm_sq: float, truncation_error: float, band: float | None = None)
 
 def tilted_kernel_mass(g: GridTrace, rate: float) -> float:
     """Integral of e^(-rate*s) g(s) over the window, end-corrected."""
-    s = g.times()
-    return corrected_trapezoid(g.values * np.exp(-rate * s), g.step)
+    return corrected_trapezoid(times_exp(g.values, -rate * g.times()), g.step)
 
 
 def kernel_first_moment(g: GridTrace, rate: float = 0.0) -> float:
@@ -183,12 +171,9 @@ def limit_constant_supercritical(
     m_k = kernel_first_moment(g, kappa)
     if m_k <= 0.0:
         raise NumericalError(f"tilted kernel first moment {m_k:.3e} is not positive")
-    wf = np.exp(-kappa * f.times())
-    num_f = corrected_trapezoid(f.values * wf, f.step)
     rtr = r.trace
-    wr = np.exp(-kappa * rtr.times())
-    num_r = corrected_trapezoid(rtr.values**2 * wr, rtr.step)
-    return num_f * num_r / m_k
+    num_r = tilted_kernel_mass(GridTrace(rtr.step, rtr.values**2), kappa)
+    return tilted_kernel_mass(f, kappa) * num_r / m_k
 
 
 def detect_degenerate(

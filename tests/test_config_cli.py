@@ -104,6 +104,16 @@ class TestEmitCsv:
         assert "0.33333333333333331" in body
         assert "\r" not in body
 
+    def test_bytes_match_a_per_value_writer(self, tmp_path):
+        # the reference formats each value with format(x, ".17g")
+        col = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 1.0 / 3.0, 1e300, -2.5e-8])
+        cols = [np.arange(col.size) * 0.1, col, col[::-1]]
+        p = tmp_path / "special.csv"
+        emit_csv(p, ["t", "a", "b"], cols)
+        rows = ["t,a,b"] + [",".join(format(float(c[i]), ".17g") for c in cols)
+                            for i in range(col.size)]
+        assert p.read_bytes() == ("\n".join(rows) + "\n").encode()
+
     def test_empty_trace_header_only(self, tmp_path):
         p = tmp_path / "empty.csv"
         emit_csv(p, ["t", "value"], [np.array([]), np.array([])])

@@ -24,6 +24,7 @@ from sdde_meansq import (
     solution_functional_trace,
     total_variation,
 )
+from sdde_meansq.measures import CompiledFunctional
 
 E = math.e
 
@@ -168,6 +169,23 @@ class TestTotalVariation:
     def test_zero_iff_zero_measure(self):
         assert total_variation(SignedMeasure(2.0, density=((-1.0, 0.0), (0.0, 0.0)))) == 0.0
         assert total_variation(SignedMeasure(2.0, atoms=((-1.0, 1e-300),))) > 0.0
+
+
+class TestTrace:
+    def test_density_part_matches_direct_correlation(self):
+        # a growing trace: the block convolution stays relative to its window
+        h = 1e-3
+        m = SignedMeasure(1.0, atoms=((-0.3, 0.4),),
+                          density=((-1.0, 0.5), (-0.4, -1.0), (0.0, 0.25)))
+        F = CompiledFunctional(m, h)
+        padded = np.exp(3.0 * h * np.arange(20001)) * np.cos(7.0 * h * np.arange(20001))
+        out = F.trace(padded)
+        ref = np.correlate(padded, F.dens_weights, mode="valid")
+        for off, w in F.atom_items:
+            ref += w * padded[off : off + ref.size]
+        scale = np.exp(3.0 * h * np.arange(ref.size) + 3.0)  # max |padded| on each segment
+        assert np.abs(out - ref).max() <= 1e-13 * scale.max()
+        assert np.all(np.abs(out - ref) <= 1e-12 * scale)
 
 
 class TestInvariants:

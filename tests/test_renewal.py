@@ -19,7 +19,8 @@ from sdde_meansq import (
     solve_renewal,
 )
 from sdde_meansq.cli import main as cli_main
-from sdde_meansq.renewal import _BASE, _FFT_BLOCK, malthusian_rate
+from sdde_meansq.quadrature import _BASE, _FFT_BLOCK
+from sdde_meansq.renewal import malthusian_rate
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -292,6 +293,36 @@ class TestOverflow:
         assert cli_main(["meansquare", "--config", str(cfg), "--out", str(out)]) == 3
         assert "at t = 1.745" in capsys.readouterr().err
         assert not (out / "meansq_renewal.csv").exists()
+
+    @pytest.mark.parametrize("command, artifact", [("classify", "report.json"),
+                                                   ("meansquare", "meansq_renewal.csv")])
+    def test_kernel_overflow_exits_3_naming_its_time(self, tmp_path, capsys, command, artifact):
+        # r grows like e^(57.7 t) at h = 0.01, so r^2 and G(r_s)^2 = 9 r^2
+        # leave the float range near t = 6.1, long before T
+        cfg = tmp_path / "c60.json"
+        cfg.write_text(json.dumps(problem_doc([[0, 60]], [[0, 3]], 0.01, 10)))
+        out = tmp_path / "out"
+        assert cli_main([command, "--config", str(cfg), "--out", str(out)]) == 3
+        assert "at t = 6.1" in capsys.readouterr().err
+        assert not (out / artifact).exists()
+
+    def test_resolvent_overflow_is_caught_before_a_small_kernel_overflows(self, tmp_path, capsys):
+        # G(r_s)^2 = 1e-6 r^2 would overflow only near t = 6.3
+        cfg = tmp_path / "c60.json"
+        cfg.write_text(json.dumps(problem_doc([[0, 60]], [[0, 1e-3]], 0.01, 10)))
+        assert cli_main(["classify", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+        assert "squared resolvent r^2 leaves the floating-point range at t = 6.16" in (
+            capsys.readouterr().err
+        )
+
+    def test_large_kernel_overflows_before_the_resolvent(self, tmp_path, capsys):
+        # r = e^t stays small, but G(r_s)^2 = 1e300 e^(2s) overflows near t = 9.53
+        cfg = tmp_path / "big.json"
+        cfg.write_text(json.dumps(problem_doc([[0, 1]], [[0, 1e150]], 0.01, 20)))
+        assert cli_main(["classify", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+        assert "noise kernel G(r_s)^2 leaves the floating-point range at t = 9.5" in (
+            capsys.readouterr().err
+        )
 
     def test_small_forcing_untilts_past_the_overflow_of_the_tilt(self):
         # the equation is linear, so scaling f by 1e-300 scales y; e^{sigma t}

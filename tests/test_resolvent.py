@@ -16,6 +16,7 @@ from sdde_meansq import (
     deterministic_solution,
     l2_norm_sq_tail,
 )
+from sdde_meansq.measures import CompiledFunctional
 from sdde_meansq.quadrature import trapezoid
 
 
@@ -27,6 +28,85 @@ def exp_phi(alpha, h, rate):
     u = -alpha + h * np.arange(round(alpha / h) + 1)
     u[-1] = 0.0
     return Segment(alpha, h, np.exp(rate * u))
+
+
+def unit_jump_value(F, padded, n, side):
+    """Per-node jump-at-0 rule: plain value less the jump corrections at step n."""
+    acc = F.value(padded, n)
+    N = F.n_intervals
+    if n <= N:
+        j = N - n
+        if side == "left" and j in F.atom_at:
+            acc -= F.atom_at[j] * padded[N]
+        if F.jump_loss is not None:
+            acc -= F.jump_loss[j] * padded[N]
+    return acc
+
+
+def reference_heun(mu, h, T, phi=None):
+    """Per-step Heun loop, the reference for the causal solve.
+
+    Without ``phi`` it is the fundamental solution: unit jump at time 0,
+    right limits in the predictor, left limits in the corrector.
+    """
+    F = CompiledFunctional(mu, h)
+    N = F.n_intervals
+    p = np.zeros(N + round(T / h) + 1)
+    if phi is None:
+        p[N] = 1.0
+        k1_at = lambda n: unit_jump_value(F, p, n, "right")  # noqa: E731
+        k2_at = lambda n: unit_jump_value(F, p, n, "left")  # noqa: E731
+    else:
+        p[: N + 1] = phi.values
+        k1_at = k2_at = lambda n: F.value(p, n)  # noqa: E731
+    for n in range(p.size - N - 1):
+        k1 = k1_at(n)
+        p[N + n + 1] = p[N + n] + h * k1
+        k2 = k2_at(n + 1)
+        p[N + n + 1] = p[N + n] + 0.5 * h * (k1 + k2)
+    return p
+
+
+def windowed_err(values, ref, n_hist):
+    """Largest error relative to max |ref| over the preceding delay window."""
+    pad = np.concatenate([np.zeros(n_hist), np.abs(ref)])
+    scale = np.array([pad[m : m + n_hist + 1].max() for m in range(ref.size)])
+    return float((np.abs(values - ref) / np.maximum(scale, 1e-300)).max())
+
+
+class TestAgainstPerStepHeun:
+    @settings(max_examples=15, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 8), st.floats(-2.0, 2.0)),
+            max_size=3,
+            unique_by=lambda t: t[0],
+        ),
+        st.lists(st.floats(-1.5, 1.5), min_size=2, max_size=4),
+        st.sampled_from((0.125, 0.025, 0.005)),
+        st.floats(-1.0, 1.0),
+    )
+    def test_random_atom_plus_density(self, atom_spec, knot_values, h, phi_slope):
+        atoms = tuple((-idx * 0.125, w) for idx, w in atom_spec)
+        locs = np.linspace(-1.0, 0.0, len(knot_values))
+        mu = SignedMeasure(1.0, atoms=atoms, density=tuple(zip(locs, knot_values)))
+        T = 4.0
+        N = round(1.0 / h)
+        r = compute_resolvent(mu, h, T)
+        ref = reference_heun(mu, h, T)
+        assert windowed_err(r.trace.values, ref[N:], N) <= 1e-12
+        phi = exp_phi(1.0, h, phi_slope)
+        x = deterministic_solution(mu, phi, h, T)
+        ref = reference_heun(mu, h, T, phi)
+        assert windowed_err(x.trace.values, ref[N:], N) <= 1e-12
+
+    def test_gbm_chain_at_two_hundred_thousand_points(self):
+        # for mu = b delta_0 Heun is the chain (1 + h b + (h b)^2 / 2)^n
+        h, b = 1e-4, -1.0
+        r = compute_resolvent(SignedMeasure(1.0, atoms=((0.0, b),)), h, 20.0)
+        n = np.arange(len(r.trace))
+        exact = (1.0 + h * b + 0.5 * (h * b) ** 2) ** n
+        assert np.abs(r.trace.values / exact - 1.0).max() <= 1e-11
 
 
 class TestComputeResolvent:

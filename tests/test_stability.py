@@ -30,6 +30,7 @@ from sdde_meansq import (
     solve_theta_subcritical,
     tilted_kernel_mass,
 )
+from sdde_meansq.cli import main as cli_main
 from sdde_meansq.measures import CompiledFunctional
 
 E = math.e
@@ -49,6 +50,20 @@ def two_atom_problem(b, c, d, alpha, h=1e-3, T=20.0):
         nu_atoms.append((-alpha, d))
     nu = SignedMeasure(alpha, atoms=tuple(nu_atoms))
     return mu, nu
+
+
+def unit_jump_value(F, padded, n, side):
+    """Per-node jump-at-0 rule: plain value less the jump corrections at step n."""
+    acc = F.value(padded, n)
+    N = F.n_intervals
+    if n <= N:
+        j = N - n
+        v0 = padded[N]
+        if side == "left" and j in F.atom_at:
+            acc -= F.atom_at[j] * v0
+        if F.jump_loss is not None:
+            acc -= F.jump_loss[j] * v0
+    return acc
 
 
 def numeric_norm_sq(b, c, d, alpha, h=1e-3, T=20.0):
@@ -110,10 +125,10 @@ class TestGOfRTrace:
         gr = g_of_r_trace(r, nu)
         F = CompiledFunctional(nu, h)
         for n in range(len(gr)):
-            right = F.value_at_unit_jump(r.padded, n, "right")
+            right = unit_jump_value(F, r.padded, n, "right")
             expected = right
             if n in (2, 8):
-                left = F.value_at_unit_jump(r.padded, n, "left")
+                left = unit_jump_value(F, r.padded, n, "left")
                 assert left != right
                 expected = math.copysign(math.sqrt(0.5 * (left * left + right * right)), right)
             assert gr.values[n] == pytest.approx(expected, rel=1e-12, abs=1e-14)
@@ -353,6 +368,38 @@ class TestAnalyzePipeline:
         assert rep.norm_sq_gr == pytest.approx((E * E - 1.0) / 2.0, abs=1e-4)
         assert rep.norm_sq_gr > 1.0
         assert rep.limit_constant == 0.0
+
+
+def gbm_doc(b, c):
+    return {
+        "alpha": 1, "mu": {"atoms": [[0, b]]}, "nu": {"atoms": [[0, c]]},
+        "phi": {"constant": 1}, "numerical": {"h": 0.001, "T": 20},
+    }
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestFastDecay:
+    def test_theta_beyond_the_exp_range(self):
+        # theta = -2b - c^2 = 40, and e^(theta T) = e^800 is not a float
+        rep = analyze(parse_config(json.dumps(gbm_doc(-30, math.sqrt(20))))).report
+        assert rep.classification == SUBCRITICAL
+        assert rep.theta == pytest.approx(40.0, abs=0.02)
+        assert rep.rate_bound == rep.theta
+
+    def test_theta_above_the_cap(self):
+        # theta = 39 lies above the cap 0.95 * 2 * 20 = 38
+        rep = analyze(parse_config(json.dumps(gbm_doc(-20, 1)))).report
+        assert rep.theta is None
+        assert rep.rate_bound == pytest.approx(38.0, abs=0.02)
+
+    def test_subnormal_resolvent_tail_still_decays(self, tmp_path):
+        # r = e^(-50 t) leaves the normal float range near t = 14.2
+        cfg = tmp_path / "fast.json"
+        cfg.write_text(json.dumps(gbm_doc(-50, 1)))
+        assert cli_main(["classify", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        rep = json.loads((tmp_path / "report.json").read_text())
+        assert rep["classification"] == SUBCRITICAL
+        assert rep["decay_rate"] == pytest.approx(50.0, rel=0.01)
 
 
 @settings(max_examples=6)
