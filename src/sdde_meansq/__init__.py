@@ -51,8 +51,7 @@ from .stability import (
     example_norm_formula,
     g_of_r_trace,
     kernel_first_moment,
-    limit_constant_critical,
-    limit_constant_supercritical,
+    limit_constant,
     solution_functional_trace,
     solve_b0,
     solve_kappa_supercritical,

@@ -104,8 +104,8 @@ class ProblemSpec:
         if self.band is not None and self.band <= 0.0:
             raise ConfigurationError(BAD_VALUE, "band must be positive", field="numerical.band")
 
-    def phi_segment(self, h: float | None = None) -> Segment:
-        return self.phi.expand(self.alpha, self.h if h is None else h)
+    def phi_segment(self) -> Segment:
+        return self.phi.expand(self.alpha, self.h)
 
 
 def aligned_step(alpha: float, h_request: float) -> float:

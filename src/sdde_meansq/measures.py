@@ -135,7 +135,6 @@ class CompiledFunctional:
     """
 
     def __init__(self, measure: SignedMeasure, h: float):
-        self.measure = measure
         self.h = h
         self.n_intervals = exact_divisions(measure.alpha, h, "alpha")
         N = self.n_intervals

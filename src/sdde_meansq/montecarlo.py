@@ -290,14 +290,12 @@ def verify_variation_of_constants(
     phi: Segment,
     cfg: SimulationConfig,
     path_index: int,
-    increments: np.ndarray | None = None,
 ) -> float:
     """Max residual of one simulated path in the resolvent representation."""
     n_steps = exact_divisions(cfg.horizon, cfg.step, "horizon")
-    if increments is None:
-        increments = _normal_increments(
-            cfg.master_seed, path_index, path_index + 1, n_steps, cfg.step
-        )[:, 0]
+    increments = _normal_increments(
+        cfg.master_seed, path_index, path_index + 1, n_steps, cfg.step
+    )[:, 0]
     record = simulate_single_path(mu, nu, phi, cfg.step, cfg.horizon, increments)
     r = compute_resolvent(mu, cfg.step, cfg.horizon)
     x = deterministic_solution(mu, phi, cfg.step, cfg.horizon)

@@ -32,8 +32,7 @@ from .stability import (
     detect_degenerate,
     g_of_r_trace,
     kernel_first_moment,
-    limit_constant_critical,
-    limit_constant_supercritical,
+    limit_constant,
     solution_functional_trace,
     solve_kappa_supercritical,
     solve_theta_subcritical,
@@ -47,26 +46,24 @@ class Analysis:
     report: StabilityReport
     r: ResolventTable
     x: SolutionTable
-    gr: GridTrace
     kernel: GridTrace
     forcing: GridTrace
-    r_sq_int: float
 
 
 def analyze(spec: ProblemSpec) -> Analysis:
     """Resolvent, statistic, classification, exponents, and limit constants."""
     h, T = spec.h, spec.T
     r = compute_resolvent(spec.mu, h, T)
+    phi_seg = spec.phi_segment()
+    x = deterministic_solution(spec.mu, phi_seg, h, T)
     with np.errstate(over="ignore"):
         require_finite(r.trace.values**2, h, "squared resolvent r^2")
         gr = g_of_r_trace(r, spec.nu)
         kernel = GridTrace(h, require_finite(gr.values**2, h, "noise kernel G(r_s)^2"))
+        gx = solution_functional_trace(x, spec.nu)
+        forcing = GridTrace(h, require_finite(gx.values**2, h, "forcing G(x_t)^2"))
     rho = decay_rate_estimate(r.trace)
-    r_sq_int, _ = l2_norm_sq_tail(r.trace)
     norm_sq, trunc = l2_norm_sq_tail(gr)
-    phi_seg = spec.phi_segment()
-    x = deterministic_solution(spec.mu, phi_seg, h, T)
-    forcing = GridTrace(h, solution_functional_trace(x, spec.nu).values ** 2)
     degenerate = detect_degenerate(
         spec.mu, spec.nu, spec.phi.sampler() or phi_seg, h, T
     )
@@ -86,18 +83,18 @@ def analyze(spec: ProblemSpec) -> Analysis:
     )
     if label == SUBCRITICAL:
         report.theta, report.rate_bound = solve_theta_subcritical(kernel, rho)
-    elif label == CRITICAL:
-        report.m_zeta = kernel_first_moment(kernel)
-        report.limit_constant = limit_constant_critical(forcing, r_sq_int, kernel)
-    elif label == SUPERCRITICAL:
-        report.kappa = solve_kappa_supercritical(kernel)
-        report.m_kappa_zeta = kernel_first_moment(kernel, report.kappa)
-        report.limit_constant = limit_constant_supercritical(
-            forcing, r, kernel, report.kappa
-        )
+    elif label in (CRITICAL, SUPERCRITICAL):
+        # the critical limit is the growth-case constant at rate 0
+        rate = solve_kappa_supercritical(kernel) if label == SUPERCRITICAL else 0.0
+        moment = kernel_first_moment(kernel, rate)
+        if label == SUPERCRITICAL:
+            report.kappa, report.m_kappa_zeta = rate, moment
+        else:
+            report.m_zeta = moment
+        report.limit_constant = limit_constant(forcing, r, kernel, rate)
     elif label == DEGENERATE and certified:
         report.limit_constant = 0.0
-    return Analysis(report, r, x, gr, kernel, forcing, r_sq_int)
+    return Analysis(report, r, x, kernel, forcing)
 
 
 def renewal_mean_square(analysis: Analysis) -> GridTrace:
@@ -194,7 +191,8 @@ def run_pipeline(spec: ProblemSpec, commands: set[str], out_dir: str = ".") -> i
         if "resolvent" in commands:
             r = analysis.r if analysis else compute_resolvent(spec.mu, spec.h, spec.T)
             tr = r.trace
-            emit_csv(track("resolvent.csv"), ["t", "value"], [tr.times(), tr.values])
+            values = require_finite(tr.values, spec.h, "resolvent r")
+            emit_csv(track("resolvent.csv"), ["t", "value"], [tr.times(), values])
         if commands & {"meansquare", "compare"}:
             renewal_msq = renewal_mean_square(analysis)
         if "meansquare" in commands:

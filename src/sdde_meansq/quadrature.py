@@ -3,6 +3,8 @@
 Every convolution goes through ``convolve`` and every causal trace (Heun
 steps, renewal solve) through ``solve_causal``.  FFT round-off is relative
 to the largest value in a transform; ``times_exp`` tilts data for range.
+Values that leave the float range come out of both as inf or NaN without a
+warning, and callers check them with ``require_finite``.
 """
 
 import math
@@ -73,6 +75,7 @@ def _spectra(v: np.ndarray, seg: int) -> np.ndarray:
     return np.fft.rfft(padded.reshape(-1, seg), 2 * seg, axis=1)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def convolve(a: np.ndarray, b: np.ndarray, n_out: int) -> np.ndarray:
     """First n_out terms of the linear convolution of a and b.
 
@@ -119,6 +122,7 @@ def require_finite(values: np.ndarray, h: float, what: str) -> np.ndarray:
     return values
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def solve_causal(a: np.ndarray, y: np.ndarray, start: int) -> np.ndarray:
     """Fill y[m] = f[m] + sum over 0 < k < len(a) of a[k] y[m-k] for m >= start, in place.
 

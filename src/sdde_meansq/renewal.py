@@ -12,19 +12,18 @@ routes work on exponentially tilted data and multiply the result back by
 e^(sigma t).  A common factor e^(-sigma t_n) on every term of the n-th
 trapezoid sum is exact algebra, so any sigma gives the same scheme; sigma
 only decides which values the round-off is relative to.  The solver tilts
-f and g by the kernel's discrete Malthusian exponent (``malthusian_rate``),
-the rate at which the tilted trapezoid mass of g equals one, so that the
-tilted solution neither grows nor decays exponentially.  The second moment
-tilts r^2 and y by the fitted exponential rate of y, which is that same
-exponent on the renewal route and stays right when y follows a forcing
-that decays more slowly than the kernel.  Where e^(sigma t) itself leaves
-the floating-point range, the product is formed through logarithms, so
-values that underflow or overflow only at the tilt factor stay exact.  A
-value that leaves the range when untilted raises NumericalError naming its
-time.
+f and g by the kernel's Malthusian exponent (``stability.malthusian_rate``,
+the rate at which the end-corrected tilted mass of g equals one, the same
+root that gives kappa and theta), so that the tilted solution neither grows
+nor decays exponentially.  The second moment tilts r^2 and y by the fitted
+exponential rate of y, which is that same exponent on the renewal route and
+stays right when y follows a forcing that decays more slowly than the
+kernel.  Where e^(sigma t) itself leaves the floating-point range, the
+product is formed through logarithms, so values that underflow or overflow
+only at the tilt factor stay exact.  A value that leaves the range when
+untilted raises NumericalError naming its time.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +31,7 @@ import numpy as np
 from .errors import ConfigurationError, NumericalError, BAD_VALUE, GRID_MISALIGNED, STEP_TOO_LARGE
 from .quadrature import convolve, require_finite, require_match, solve_causal, times_exp
 from .resolvent import GridTrace, ResolventTable
-from .stability import bisect_decreasing
+from .stability import malthusian_rate
 
 #: second moments may round slightly below zero; anything worse aborts
 _NEG_TOL = 1e-12
@@ -59,29 +58,6 @@ class RenewalProblem:
                     BAD_VALUE, f"{name} must be nonnegative (min {lo})"
                 )
             np.clip(tr.values, 0.0, None, out=tr.values)
-
-
-def malthusian_rate(kernel: GridTrace) -> float:
-    """Discrete Malthusian exponent sigma of a kernel with h*g(0)/2 < 1.
-
-    The root of h * sum' g_k e^(-sigma s_k) = 1 (trapezoid weights), or 0
-    when the kernel has no mass past s = 0.  Each term is written as
-    e^(c_k - sigma s_k) with c_k = log(weight_k g_k); the bracket starts
-    where the largest term equals one, so no term exceeds one during the
-    search.
-    """
-    g, h = kernel.values, kernel.step
-    k = np.flatnonzero(g[1:] > 0.0) + 1
-    if k.size == 0:
-        return 0.0
-    s = h * k
-    c = np.log(g[k]) + np.log(np.where(k == g.size - 1, 0.5 * h, h))
-    d = 0.5 * h * g[0]
-    lo = float(np.max(c / s))
-    # beyond lo every term is at most q^k, q = e^(-h (sigma - lo)); at hi
-    # their sum q / (1 - q) is (1 - d) / 2, so the mass is below one
-    hi = lo + math.log((3.0 - d) / (1.0 - d)) / h
-    return bisect_decreasing(lambda sg: d + float(np.exp(c - sg * s).sum()), lo, hi)
 
 
 def solve_renewal(p: RenewalProblem) -> GridTrace:

@@ -7,6 +7,11 @@ solution.  Mass below 1 gives exponential decay of the second moment, mass
 rate; an initial segment that the diffusion functional annihilates along
 the whole deterministic flow degenerates to the deterministic trajectory no
 matter the statistic.
+
+One root serves every rate: the Malthusian exponent sigma at which the
+end-corrected mass of e^(-sigma s) G(r_s)^2 is one (``malthusian_rate``).
+It is kappa above mass one, -theta below it, and the renewal solver's tilt;
+the mass-one limit is the growth-case limit constant at rate 0.
 """
 
 import math
@@ -29,11 +34,11 @@ UNCERTIFIED = "UNCERTIFIED"
 DEGENERACY_TOL = 1e-8
 #: target number of segment intervals for the degeneracy scan grid
 _DETECT_NODES = 8192
-#: cap on the tilted-mass search, as a fraction of twice the decay rate
+#: cap on theta, as a fraction of twice the decay rate
 _THETA_CAP = 0.95
 
 _ROOT_RTOL = 1e-12
-_MAX_BISECT = 200
+_MAX_ITER = 200
 
 
 @dataclass
@@ -101,17 +106,16 @@ def tilted_kernel_mass(g: GridTrace, rate: float) -> float:
     return corrected_trapezoid(times_exp(g.values, -rate * g.times()), g.step)
 
 
-def kernel_first_moment(g: GridTrace, rate: float = 0.0) -> float:
-    """Integral of s e^(-rate*s) g(s) over the window, end-corrected."""
-    s = g.times()
-    return corrected_trapezoid(s * g.values * np.exp(-rate * s), g.step)
+def kernel_first_moment(g: GridTrace, rate: float) -> float:
+    """Integral of s e^(-rate*s) g(s) over the window: the tilted mass of s*g."""
+    return tilted_kernel_mass(GridTrace(g.step, g.times() * g.values), rate)
 
 
-def bisect_decreasing(fn, lo: float, hi: float, target: float = 1.0) -> float:
-    """Root of the monotone decreasing fn(x) = target on [lo, hi]."""
-    for _ in range(_MAX_BISECT):
+def bisect_decreasing(fn, lo: float, hi: float) -> float:
+    """Root of the monotone decreasing fn(x) = 0 on [lo, hi]."""
+    for _ in range(_MAX_ITER):
         mid = 0.5 * (lo + hi)
-        if fn(mid) >= target:
+        if fn(mid) >= 0.0:
             lo = mid
         else:
             hi = mid
@@ -120,60 +124,78 @@ def bisect_decreasing(fn, lo: float, hi: float, target: float = 1.0) -> float:
     return 0.5 * (lo + hi)
 
 
-def solve_kappa_supercritical(g: GridTrace) -> float:
-    """Positive rate at which the tilted kernel mass drops to one.
+def malthusian_rate(g: GridTrace) -> float:
+    """Malthusian exponent: the sigma at which ``tilted_kernel_mass(g, sigma)`` is one.
 
-    ``g`` is the squared-functional kernel; its plain mass must exceed one.
+    Returns 0 when the kernel has no mass past s = 0, and raises
+    NumericalError when no root exists because the weight of s = 0 alone
+    gives mass one or more.  Every weight of the end-corrected rule exceeds
+    h/3, so the mass is at least one where the largest term h g(s_k)
+    e^(-sigma s_k) / 3 past s = 0 equals one.  Newton's method on log M,
+    which is convex and decreasing, climbs from there to the root
+    monotonically.  Each mass is evaluated as e^a times the corrected sum of
+    e^(log g - sigma s - a), a the largest exponent, so no tilted term
+    exceeds one at any sigma.
     """
+    v, h, s = g.values, g.step, g.times()
+    if corrected_trapezoid(np.where(s > 0.0, 0.0, v), h) >= 1.0:
+        raise NumericalError("failed to bracket the tilt rate")
+    k = np.flatnonzero(v[1:] > 0.0) + 1
+    if k.size == 0:
+        return 0.0
+    with np.errstate(divide="ignore"):
+        log_v = np.log(v)
+    sigma = float(np.max((log_v[k] + math.log(h / 3.0)) / s[k]))
+    for _ in range(_MAX_ITER):
+        e = log_v - sigma * s
+        top = e.max()
+        w = np.exp(e - top)
+        mass, moment = corrected_trapezoid(w, h), corrected_trapezoid(s * w, h)
+        step = (top + math.log(mass)) * mass / moment
+        sigma += step
+        # every exact step is positive; a smaller one is round-off
+        if step <= _ROOT_RTOL * max(1.0, abs(sigma)):
+            return float(sigma)
+    raise NumericalError("failed to bracket the tilt rate")
+
+
+def solve_kappa_supercritical(g: GridTrace) -> float:
+    """Growth rate kappa: the Malthusian exponent of a kernel of mass above one."""
     if tilted_kernel_mass(g, 0.0) <= 1.0:
         raise NumericalError("kernel mass is not above one; no positive tilt rate exists")
-    hi = 1.0
-    for _ in range(_MAX_BISECT):
-        if tilted_kernel_mass(g, hi) < 1.0:
-            break
-        hi *= 2.0
-    else:
-        raise NumericalError("failed to bracket the tilt rate")
-    return bisect_decreasing(lambda k: tilted_kernel_mass(g, k), 0.0, hi)
+    return malthusian_rate(g)
 
 
 def solve_theta_subcritical(g: GridTrace, rho: float) -> tuple[float | None, float]:
-    """Positive rate at which the upward-tilted kernel mass reaches one.
+    """Decay rate theta = -sigma of a kernel of mass below one, sigma its Malthusian exponent.
 
-    The search is capped at 0.95 * (2 rho) because beyond that the truncated
+    Theta is capped at 0.95 * (2 rho) because beyond that the truncated
     quadrature of the growing integrand is unreliable.  Returns (theta,
-    rate_bound); theta is None when the mass stays below one on the whole
-    certified range, in which case the bound is the cap itself.
+    rate_bound); theta is None when it lies past the cap or the kernel has
+    no mass past s = 0, in which case the bound is the cap itself.
     """
     if rho <= 0.0:
         raise NumericalError("no certified decay rate; cannot search for a tilt rate")
     if tilted_kernel_mass(g, 0.0) >= 1.0:
         raise NumericalError("kernel mass is not below one")
     cap = _THETA_CAP * 2.0 * rho
-    if tilted_kernel_mass(g, -cap) < 1.0:
+    theta = -malthusian_rate(g)
+    if not 0.0 < theta <= cap:
         return None, cap
-    theta = bisect_decreasing(lambda th: -tilted_kernel_mass(g, -th), 0.0, cap, target=-1.0)
-    return theta, min(2.0 * rho, theta)
+    return theta, theta
 
 
-def limit_constant_critical(f: GridTrace, r_sq_int: float, g: GridTrace) -> float:
-    """Limit of the second moment in the mass-one case."""
-    m = kernel_first_moment(g)
+def limit_constant(f: GridTrace, r: ResolventTable, g: GridTrace, rate: float) -> float:
+    """Limit of e^(-rate t) times the second moment.
+
+    ``rate`` is kappa when the kernel mass exceeds one and 0 when it is one.
+    """
+    m = kernel_first_moment(g, rate)
     if m <= 0.0:
-        raise NumericalError(f"kernel first moment {m:.3e} is not positive")
-    return corrected_trapezoid(f.values, f.step) * r_sq_int / m
-
-
-def limit_constant_supercritical(
-    f: GridTrace, r: ResolventTable, g: GridTrace, kappa: float
-) -> float:
-    """Limit of e^(-kappa t) times the second moment in the excessive case."""
-    m_k = kernel_first_moment(g, kappa)
-    if m_k <= 0.0:
-        raise NumericalError(f"tilted kernel first moment {m_k:.3e} is not positive")
+        raise NumericalError(f"tilted kernel first moment {m:.3e} is not positive")
     rtr = r.trace
-    num_r = tilted_kernel_mass(GridTrace(rtr.step, rtr.values**2), kappa)
-    return tilted_kernel_mass(f, kappa) * num_r / m_k
+    num_r = tilted_kernel_mass(GridTrace(rtr.step, rtr.values**2), rate)
+    return tilted_kernel_mass(f, rate) * num_r / m
 
 
 def detect_degenerate(
@@ -256,4 +278,4 @@ def solve_b0(c: float, d: float, alpha: float) -> float:
         b_lo -= step
         if b_lo < 2.0 * b_floor:
             raise NumericalError("failed to bracket the stability boundary")
-    return bisect_decreasing(lambda b: -fn(b), b_lo, b_lo + step, target=0.0)
+    return bisect_decreasing(lambda b: -fn(b), b_lo, b_lo + step)

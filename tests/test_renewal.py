@@ -20,7 +20,7 @@ from sdde_meansq import (
 )
 from sdde_meansq.cli import main as cli_main
 from sdde_meansq.quadrature import _BASE, _FFT_BLOCK
-from sdde_meansq.renewal import malthusian_rate
+from sdde_meansq.stability import malthusian_rate
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -305,6 +305,36 @@ class TestOverflow:
         assert cli_main([command, "--config", str(cfg), "--out", str(out)]) == 3
         assert "at t = 6.1" in capsys.readouterr().err
         assert not (out / artifact).exists()
+
+    @pytest.mark.parametrize("command, message", [
+        ("resolvent", "resolvent r leaves the floating-point range at t = 12.3"),
+        ("classify", "squared resolvent r^2 leaves the floating-point range at t = 6.16"),
+        ("meansquare", "squared resolvent r^2 leaves the floating-point range at t = 6.16"),
+    ])
+    def test_resolvent_overflow_before_T_exits_3(self, tmp_path, capsys, command, message):
+        # r itself leaves the float range near t = 12.3 < T; r^2 near t = 6.16
+        cfg = tmp_path / "c60.json"
+        cfg.write_text(json.dumps(problem_doc([[0, 60]], [[0, 3]], 0.01, 20)))
+        out = tmp_path / "out"
+        assert cli_main([command, "--config", str(cfg), "--out", str(out)]) == 3
+        assert message in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("phi, time", [(1e150, "10.2"), (1e160, "0;")])
+    @pytest.mark.parametrize("command", ["classify", "meansquare"])
+    def test_forcing_overflow_exits_3_naming_its_time(self, tmp_path, capsys, command, phi, time):
+        # x = phi e^t, so G(x_t)^2 = phi^2 e^(2t) / 4 leaves the float range
+        # at t = 10.2 for phi = 1e150 and at once for phi = 1e160
+        doc = problem_doc([[0, 1]], [[0, 0.5]], 0.01, 20)
+        doc["phi"] = {"constant": phi}
+        cfg = tmp_path / "big_phi.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert cli_main([command, "--config", str(cfg), "--out", str(out)]) == 3
+        assert f"forcing G(x_t)^2 leaves the floating-point range at t = {time}" in (
+            capsys.readouterr().err
+        )
+        assert list(out.iterdir()) == []
 
     def test_resolvent_overflow_is_caught_before_a_small_kernel_overflows(self, tmp_path, capsys):
         # G(r_s)^2 = 1e-6 r^2 would overflow only near t = 6.3

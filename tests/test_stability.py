@@ -21,19 +21,37 @@ from sdde_meansq import (
     detect_degenerate,
     example_norm_formula,
     g_of_r_trace,
-    limit_constant_critical,
-    limit_constant_supercritical,
+    kernel_first_moment,
+    limit_constant,
     l2_norm_sq_tail,
     parse_config,
+    renewal_mean_square,
     solve_b0,
     solve_kappa_supercritical,
     solve_theta_subcritical,
     tilted_kernel_mass,
 )
 from sdde_meansq.cli import main as cli_main
+from sdde_meansq import renewal
 from sdde_meansq.measures import CompiledFunctional
+from sdde_meansq.quadrature import corrected_trapezoid
+from sdde_meansq.stability import malthusian_rate
 
 E = math.e
+
+
+README_DOC = {
+    "alpha": 1, "mu": {"atoms": [[0, -1]]},
+    "nu": {"atoms": [[0, 1.0], [-1, 0.5]], "density": [[-1, 0], [0, 0.25]]},
+    "phi": {"constant": 1}, "numerical": {"h": 0.001, "T": 20},
+}
+
+
+def gbm_doc(b, c):
+    return {
+        "alpha": 1, "mu": {"atoms": [[0, b]]}, "nu": {"atoms": [[0, c]]},
+        "phi": {"constant": 1}, "numerical": {"h": 0.001, "T": 20},
+    }
 
 
 def exp_kernel(scale, rate, h=1e-3, T=20.0):
@@ -212,6 +230,11 @@ class TestExponents:
         with pytest.raises(NumericalError):
             solve_kappa_supercritical(exp_kernel(1.0, -2.0))
 
+    def test_kappa_without_a_root_raises(self):
+        # h g(0) = 4: the corrected weight of s = 0 alone gives mass 25/18 > 1
+        with pytest.raises(NumericalError, match="failed to bracket"):
+            solve_kappa_supercritical(exp_kernel(400.0, -2.0, h=0.01))
+
     def test_theta_closed_form(self):
         # kernel e^{-2s}: upward-tilted mass 1/(2-theta) hits 1 at theta = 1
         theta, bound = solve_theta_subcritical(exp_kernel(1.0, -2.0), rho=1.0)
@@ -229,26 +252,68 @@ class TestExponents:
         assert theta is None
         assert bound == pytest.approx(0.95 * 2.0, rel=1e-12)
 
+    @pytest.mark.parametrize("doc", [README_DOC, gbm_doc(-1.0, 2.0)], ids=["readme", "gbm-c2"])
+    def test_kappa_and_theta_are_the_renewal_tilt(self, doc, monkeypatch):
+        tilts = []
+
+        def spy(g):
+            tilts.append(malthusian_rate(g))
+            return tilts[-1]
+
+        monkeypatch.setattr(renewal, "malthusian_rate", spy)
+        analysis = analyze(parse_config(json.dumps(doc)))
+        renewal_mean_square(analysis)
+        rep = analysis.report
+        rate = rep.kappa if rep.classification == SUPERCRITICAL else -rep.theta
+        assert tilts == [rate]
+
+    @pytest.mark.parametrize("offset", [-1e-9, 1e-9, -1e-6, 1e-6])
+    def test_theta_cap_agrees_with_the_tilted_mass(self, offset):
+        # the root sits just past (offset > 0) or just inside the cap
+        g = exp_kernel(0.5, -2.0, T=40.0)
+        root = -malthusian_rate(g)
+        cap = root * (1.0 - offset)
+        theta, bound = solve_theta_subcritical(g, rho=cap / (0.95 * 2.0))
+        assert (theta is None) == (tilted_kernel_mass(g, -cap) < 1.0) == (offset > 0.0)
+        assert bound == (cap if theta is None else theta)
+
 
 class TestLimitConstants:
     def test_critical_unit_scale(self):
         # noise weight sqrt(2), drift -1: limit equals the squared start value
         h = 1e-3
+        r = compute_resolvent(SignedMeasure(1.0, atoms=((0.0, -1.0),)), h, 20.0)
         f = exp_kernel(2.0, -2.0, h)
         g = exp_kernel(2.0, -2.0, h)
-        assert limit_constant_critical(f, 0.5, g) == pytest.approx(1.0, abs=1e-6)
+        assert limit_constant(f, r, g, 0.0) == pytest.approx(1.0, abs=1e-6)
 
     def test_critical_scales_with_start(self):
         h = 1e-3
+        r = compute_resolvent(SignedMeasure(1.0, atoms=((0.0, -1.0),)), h, 20.0)
         f = exp_kernel(8.0, -2.0, h)  # start value 2 doubles the forcing scale
         g = exp_kernel(2.0, -2.0, h)
-        assert limit_constant_critical(f, 0.5, g) == pytest.approx(4.0, abs=1e-6)
+        assert limit_constant(f, r, g, 0.0) == pytest.approx(4.0, abs=1e-6)
 
     def test_critical_zero_forcing(self):
         h = 1e-3
+        r = compute_resolvent(SignedMeasure(1.0, atoms=((0.0, -1.0),)), h, 20.0)
         f = exp_kernel(0.0, -2.0, h)
         g = exp_kernel(2.0, -2.0, h)
-        assert limit_constant_critical(f, 0.5, g) == 0.0
+        assert limit_constant(f, r, g, 0.0) == 0.0
+
+    @pytest.mark.parametrize("doc", [README_DOC, gbm_doc(-1.0, math.sqrt(2.0))],
+                             ids=["readme", "gbm-critical"])
+    def test_rate_zero_is_the_critical_formula(self, doc):
+        a = analyze(parse_config(json.dumps(doc)))
+        f, g, h = a.forcing, a.kernel, a.kernel.step
+        s = g.times()
+        assert kernel_first_moment(g, 0.0) == corrected_trapezoid(s * g.values * np.exp(-0.0 * s), h)
+        expected = corrected_trapezoid(f.values, h) * corrected_trapezoid(
+            a.r.trace.values**2, h
+        ) / kernel_first_moment(g, 0.0)
+        assert limit_constant(f, a.r, g, 0.0) == expected
+        if a.report.classification == CRITICAL:
+            assert a.report.limit_constant == expected
 
     def test_supercritical_unit_scale(self):
         h = 1e-3
@@ -256,7 +321,7 @@ class TestLimitConstants:
         r = compute_resolvent(mu, h, 20.0)
         f = exp_kernel(4.0, -2.0, h)
         g = exp_kernel(4.0, -2.0, h)
-        assert limit_constant_supercritical(f, r, g, 2.0) == pytest.approx(1.0, abs=1e-4)
+        assert limit_constant(f, r, g, 2.0) == pytest.approx(1.0, abs=1e-4)
 
     def test_supercritical_scales_with_start(self):
         h = 1e-3
@@ -264,7 +329,7 @@ class TestLimitConstants:
         r = compute_resolvent(mu, h, 20.0)
         f = exp_kernel(36.0, -2.0, h)  # start value 3
         g = exp_kernel(4.0, -2.0, h)
-        assert limit_constant_supercritical(f, r, g, 2.0) == pytest.approx(9.0, abs=1e-3)
+        assert limit_constant(f, r, g, 2.0) == pytest.approx(9.0, abs=1e-3)
 
     def test_supercritical_zero_forcing(self):
         h = 1e-3
@@ -272,7 +337,7 @@ class TestLimitConstants:
         r = compute_resolvent(mu, h, 20.0)
         f = exp_kernel(0.0, -2.0, h)
         g = exp_kernel(4.0, -2.0, h)
-        assert limit_constant_supercritical(f, r, g, 2.0) == 0.0
+        assert limit_constant(f, r, g, 2.0) == 0.0
 
 
 class TestDetectDegenerate:
@@ -368,13 +433,6 @@ class TestAnalyzePipeline:
         assert rep.norm_sq_gr == pytest.approx((E * E - 1.0) / 2.0, abs=1e-4)
         assert rep.norm_sq_gr > 1.0
         assert rep.limit_constant == 0.0
-
-
-def gbm_doc(b, c):
-    return {
-        "alpha": 1, "mu": {"atoms": [[0, b]]}, "nu": {"atoms": [[0, c]]},
-        "phi": {"constant": 1}, "numerical": {"h": 0.001, "T": 20},
-    }
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
