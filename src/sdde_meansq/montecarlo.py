@@ -49,6 +49,8 @@ DIVERGE_LIMIT = 1e150
 #: outrun by growing 2**64-fold per step
 RESCALE_BITS = 512
 RESCALE_STRIDE = 8
+#: paths whose counter draws are gathered at once before the transpose
+RNG_BLOCK = 64
 
 _U64 = (1 << 64) - 1
 
@@ -110,17 +112,28 @@ def _path_key(master_seed: int, path_index: int) -> int:
 
 
 def _normal_increments(
-    master_seed: int, lo: int, hi: int, n_steps: int, h: float
+    master_seed: int, lo: int, hi: int, n_steps: int, h: float, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """Increments for paths [lo, hi) as an (n_steps, paths) array."""
-    m = hi - lo
-    raw = np.empty((m, n_steps))
-    for i in range(m):
-        bits = np.random.Philox(key=_path_key(master_seed, lo + i))
-        gen = np.random.Generator(bits)
-        raw[i] = gen.integers(0, 1 << 53, size=n_steps, dtype=np.int64)
-    u = (raw + 0.5) * 2.0**-53
-    return np.ascontiguousarray((ndtri(u) * math.sqrt(h)).T)
+    """Increments for paths [lo, hi) as an (n_steps, paths) array, written into ``out`` if given.
+
+    The counter draws are gathered a block of paths at a time and turned
+    into increments in place, so nothing beside ``out`` grows with the chunk.
+    """
+    if out is None:
+        out = np.empty((n_steps, hi - lo))
+    block = np.empty((min(RNG_BLOCK, hi - lo), n_steps))
+    for b in range(lo, hi, RNG_BLOCK):
+        e = min(b + RNG_BLOCK, hi)
+        for i in range(b, e):
+            bits = np.random.Philox(key=_path_key(master_seed, i))
+            gen = np.random.Generator(bits)
+            block[i - b] = gen.integers(0, 1 << 53, size=n_steps, dtype=np.int64)
+        out[:, b - lo : e - lo] = block[: e - b].T
+    out += 0.5
+    out *= 2.0**-53
+    ndtri(out, out=out)
+    out *= math.sqrt(h)
+    return out
 
 
 def _worker_count(hint: int) -> int:
@@ -136,8 +149,12 @@ def _worker_count(hint: int) -> int:
 
 def _simulate_chunk(f_mu, g_nu, phi_values, n_steps, h, master_seed, lo, hi, tilt):
     n_hist = phi_values.size - 1
-    dw = _normal_increments(master_seed, lo, hi, n_steps, h)
-    paths = np.empty((n_hist + n_steps + 1, hi - lo))
+    # the paths and their increments share one allocation: one block that
+    # large is mapped on its own and handed back to the system when freed,
+    # so the chunks' peak memory does not depend on how workers interleave
+    buf = np.empty((n_hist + 2 * n_steps + 1, hi - lo))
+    paths, dw = buf[: n_hist + n_steps + 1], buf[n_hist + n_steps + 1 :]
+    _normal_increments(master_seed, lo, hi, n_steps, h, out=dw)
     paths[: n_hist + 1] = phi_values[:, None]
     dw += tilt * h
     # (step, path indices) of every rescale of the rows a step reads; the

@@ -30,6 +30,10 @@ class TestIncrements:
         a = _normal_increments(99, 0, 6, 50, 0.01)
         b = _normal_increments(99, 3, 4, 50, 0.01)
         assert np.array_equal(a[:, 3], b[:, 0])
+        # past the first gathering block of paths, with a partial last block
+        a = _normal_increments(99, 0, 150, 50, 0.01)
+        b = _normal_increments(99, 130, 131, 50, 0.01)
+        assert np.array_equal(a[:, 130], b[:, 0])
 
     def test_distinct_paths_and_seeds(self):
         a = _normal_increments(1, 0, 2, 100, 0.01)
