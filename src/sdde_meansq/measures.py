@@ -91,6 +91,31 @@ class SignedMeasure:
         return SignedMeasure(self.alpha, atoms, dens)
 
 
+def _affine_runs(u: np.ndarray, locs: np.ndarray, rho: np.ndarray, h: float) -> tuple:
+    """The grid offsets in each knot interval as (j0, L, c0, c1), weight c0 + c1 k at j0 + k.
+
+    ``rho`` is the density sampled at the nodes ``u``.  A node on an inner
+    knot belongs to the interval on its right and a node on the last knot
+    to the interval on its left, as in ``np.interp``; a lone knot is an
+    interval of length zero.  Runs of zero weight are left out.
+    """
+    last = locs.size - 1
+    which = np.searchsorted(locs, u, side="right") - 1
+    which = np.where(u > locs[-1], -1, np.minimum(which, max(last - 1, 0)))
+    runs = []
+    for i in range(max(last, 1)):
+        js = np.flatnonzero(which == i)
+        if js.size == 0:
+            continue
+        j0, L = int(js[0]), int(js[-1] - js[0])
+        c0 = h * rho[j0]
+        # with one node, S1 holds only rounding, which no slope may amplify
+        c1 = h * (rho[j0 + L] - rho[j0]) / L if L else 0.0
+        if c0 != 0.0 or c1 != 0.0:
+            runs.append((j0, L, float(c0), float(c1)))
+    return tuple(runs)
+
+
 def _density_at(knots: tuple, u: float) -> float:
     locs = np.array([l for l, _ in knots])
     vals = np.array([v for _, v in knots])
@@ -132,6 +157,13 @@ class CompiledFunctional:
     the node keeps all of its weight at offset 0 (the jump lies at the
     segment's left end), none at offset N (the segment lies before the
     jump) and half in between.
+
+    ``runs`` is the density as a piece table: (j0, L, c0, c1) says that the
+    grid offsets j0 .. j0 + L lie in one knot interval, where the sampled
+    weight h * density is affine, ``c0 + c1 * k`` at offset j0 + k.
+    ``point_items`` holds the point masses, with a density's two trapezoid
+    end halvings added as corrections at offsets 0 and N, so that the runs
+    and the point items together give ``dens_weights`` up to rounding.
     """
 
     def __init__(self, measure: SignedMeasure, h: float):
@@ -152,6 +184,8 @@ class CompiledFunctional:
         self.atom_at = atom_at
         self.dens_weights = None
         self.jump_loss = None
+        self.runs = ()
+        self.point_items = self.atom_items
         if measure.density and N >= 1:
             u = -measure.alpha + h * np.arange(N + 1)
             locs = np.array([l for l, _ in measure.density])
@@ -166,6 +200,13 @@ class CompiledFunctional:
                 keep[0] = 1.0
                 keep[N] = 0.0
                 self.jump_loss = (1.0 - keep) * w
+                self.runs = _affine_runs(u, locs, rho, h)
+                # the runs weigh the end nodes whole, the trapezoid halves them
+                points = dict(atom_at)
+                for j in (0, N):
+                    if w[j] != 0.0:
+                        points[j] = points.get(j, 0.0) - w[j]
+                self.point_items = tuple(points.items())
 
     def value(self, padded: np.ndarray, n: int) -> float:
         """Plain evaluation on the segment at step ``n``."""
@@ -177,7 +218,7 @@ class CompiledFunctional:
         return float(acc)
 
     def value_vec(self, padded: np.ndarray, n: int) -> np.ndarray:
-        """Evaluation on a (time, paths) array; returns one value per path."""
+        """Evaluation on a (time, paths) array; the dense reference for the Monte Carlo sums."""
         acc = np.zeros(padded.shape[1])
         for off, w in self.atom_items:
             acc += w * padded[n + off]

@@ -28,7 +28,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import ConfigurationError, BAD_VALUE, GRID_MISALIGNED
 from .measures import CompiledFunctional, Segment, SignedMeasure
@@ -78,7 +77,10 @@ class MomentEstimate:
 
     ``mean_sq`` is the path mean of w X^2 and ``stderr`` the standard error
     from the sample variance of w X^2, w being the likelihood ratio of the
-    drift ``tilt`` (w = 1 when ``tilt`` is 0).
+    drift ``tilt`` (w = 1 when ``tilt`` is 0).  ``max_path_share`` is the
+    largest share one path has of the sum of w X^2 at any time: near 1 the
+    estimate rests on a single path and its standard error is no bound.
+    It is a diagnostic and gates nothing.
     """
 
     step: float
@@ -88,6 +90,7 @@ class MomentEstimate:
     master_seed: int
     diverged_paths: int
     tilt: float
+    max_path_share: float
 
     @property
     def valid(self) -> bool:
@@ -119,6 +122,9 @@ def _normal_increments(
     The counter draws are gathered a block of paths at a time and turned
     into increments in place, so nothing beside ``out`` grows with the chunk.
     """
+    # imported here: scipy.special is most of the package's import time
+    from scipy.special import ndtri
+
     if out is None:
         out = np.empty((n_steps, hi - lo))
     block = np.empty((min(RNG_BLOCK, hi - lo), n_steps))
@@ -134,6 +140,66 @@ def _normal_increments(
     ndtri(out, out=out)
     out *= math.sqrt(h)
     return out
+
+
+class _WindowSums:
+    """A functional on every path of a (time, paths) array, one step after another.
+
+    The segment of step n is ``paths[n : n + N + 1]``.  Point items read one
+    row each.  Each density run keeps the sliding trapezoid moments
+    S0 = sum_k x[n + j0 + k] and S1 = sum_k k x[n + j0 + k] over its L + 1
+    rows and contributes c0 S0 + c1 S1, so a step costs O(#runs) row
+    operations instead of O(N).  The moments are summed afresh from the
+    window every N steps, which bounds their rounding drift.  Every
+    operation is elementwise over paths, so a path's values do not depend
+    on which other paths share the array.
+    """
+
+    def __init__(self, fn: CompiledFunctional, paths: np.ndarray):
+        self.paths = paths
+        self.points = fn.point_items
+        self.n_intervals = fn.n_intervals
+        m = paths.shape[1]
+        self.runs = [(j0, L, c0, c1, np.empty(m), np.empty(m)) for j0, L, c0, c1 in fn.runs]
+        self.anchor(0)
+
+    def anchor(self, n: int) -> None:
+        """Sum the moments of step n directly from the window."""
+        for j0, L, _, _, s0, s1 in self.runs:
+            # suffix sums: S1 = sum over k >= 1 of sum_{i >= k} x[i]
+            s0[:] = self.paths[n + j0 + L]
+            s1[:] = 0.0
+            for k in range(n + j0 + L - 1, n + j0 - 1, -1):
+                s1 += s0
+                s0 += self.paths[k]
+
+    def value(self, n: int) -> np.ndarray:
+        """The functional at step n, once the moments are those of step n."""
+        acc = np.zeros(self.paths.shape[1])
+        for off, w in self.points:
+            acc += w * self.paths[n + off]
+        for _, _, c0, c1, s0, s1 in self.runs:
+            acc += c0 * s0
+            acc += c1 * s1
+        return acc
+
+    def advance(self, n: int) -> None:
+        """Move the moments from step n to step n + 1; row n + N + 1 must be written."""
+        if self.runs and (n + 1) % self.n_intervals == 0:
+            self.anchor(n + 1)
+            return
+        for j0, L, _, _, s0, s1 in self.runs:
+            new = self.paths[n + j0 + L + 1]
+            s0 += new
+            s0 -= self.paths[n + j0]
+            s1 += (L + 1.0) * new
+            s1 -= s0
+
+    def scale(self, idx: np.ndarray, factor: float) -> None:
+        """Follow a power-of-two rescale of the window rows of paths ``idx``."""
+        for _, _, _, _, s0, s1 in self.runs:
+            s0[idx] *= factor
+            s1[idx] *= factor
 
 
 def _worker_count(hint: int) -> int:
@@ -161,11 +227,12 @@ def _simulate_chunk(f_mu, g_nu, phi_values, n_steps, h, master_seed, lo, hi, til
     # chain is linear, so scaling them by a power of two is exact
     rescaled = []
     with np.errstate(over="ignore", invalid="ignore"):
+        drift, noise = _WindowSums(f_mu, paths), _WindowSums(g_nu, paths)
         for n in range(n_steps):
-            drift = f_mu.value_vec(paths, n)
-            noise = g_nu.value_vec(paths, n)
-            row = paths[n_hist + n] + h * drift + noise * dw[n]
+            row = paths[n_hist + n] + h * drift.value(n) + noise.value(n) * dw[n]
             paths[n_hist + n + 1] = row
+            drift.advance(n)
+            noise.advance(n)
             if n:
                 dw[n] += dw[n - 1]
             if n % RESCALE_STRIDE:
@@ -174,6 +241,8 @@ def _simulate_chunk(f_mu, g_nu, phi_values, n_steps, h, master_seed, lo, hi, til
             if over.any():
                 idx = np.flatnonzero(over & np.isfinite(row))
                 paths[n + 1 : n_hist + n + 2, idx] *= 2.0**-RESCALE_BITS
+                drift.scale(idx, 2.0**-RESCALE_BITS)
+                noise.scale(idx, 2.0**-RESCALE_BITS)
                 rescaled.append((n, idx))
         body = paths[n_hist:]
         # dw now holds the driving path W = W~ + tilt t at t_1 .. t_n; the
@@ -201,8 +270,9 @@ def _simulate_chunk(f_mu, g_nu, phi_values, n_steps, h, master_seed, lo, hi, til
         # chunk's sum, which is exact and keeps them in range
         scale = np.frexp(sum_sq)[1]
         np.ldexp(sq, -scale[:, None], out=sq)
+        max_sq = sq.max(axis=1)
         sum_q4 = np.square(sq, out=sq).sum(axis=1)
-    return sum_sq, sum_q4, scale, int(np.count_nonzero(bad))
+    return sum_sq, sum_q4, scale, int(np.count_nonzero(bad)), max_sq
 
 
 def simulate_mean_square(
@@ -243,20 +313,24 @@ def simulate_mean_square(
 
     total_sq = np.zeros(n_steps + 1)
     total_q4 = np.zeros(n_steps + 1)
-    top = np.max([scale for _, _, scale, _ in results], axis=0)
+    top = np.max([scale for _, _, scale, _, _ in results], axis=0)
+    top_sq = np.zeros(n_steps + 1)
     diverged = 0
-    for sum_sq, sum_q4, scale, bad in results:
+    for sum_sq, sum_q4, scale, bad, max_sq in results:
         total_sq += sum_sq
         total_q4 += np.ldexp(sum_q4, 2 * (scale - top))
+        np.fmax(top_sq, np.ldexp(max_sq, scale - top), out=top_sq)
         diverged += bad
     mean_sq = total_sq / m_total
-    with np.errstate(invalid="ignore", over="ignore"):
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         # the variance of the squares at the scale 2**(-2 top)
         scaled_sq = np.ldexp(total_sq, -top)
         var = (total_q4 - scaled_sq * scaled_sq / m_total) / (m_total - 1)
         stderr = np.ldexp(np.sqrt(np.maximum(var, 0.0) / m_total), top)
+        share = np.where(scaled_sq == 0.0, 0.0, top_sq / scaled_sq)
     return MomentEstimate(
-        cfg.step, mean_sq, stderr, m_total, cfg.master_seed, diverged, tilt
+        cfg.step, mean_sq, stderr, m_total, cfg.master_seed, diverged, tilt,
+        float(np.max(share)),
     )
 
 
@@ -272,17 +346,20 @@ def simulate_single_path(
     n_steps = exact_divisions(T, h, "horizon")
     if increments.shape != (n_steps,):
         raise ConfigurationError(BAD_VALUE, "increments must have one entry per step")
-    f_mu = CompiledFunctional(mu, h)
-    g_nu = CompiledFunctional(nu, h)
     n_hist = phi.values.size - 1
-    path = np.empty(n_hist + n_steps + 1)
-    path[: n_hist + 1] = phi.values
-    noise = np.empty(n_steps)
+    path = np.empty((n_hist + n_steps + 1, 1))
+    path[: n_hist + 1, 0] = phi.values
+    drift = _WindowSums(CompiledFunctional(mu, h), path)
+    noise = _WindowSums(CompiledFunctional(nu, h), path)
+    noise_values = np.empty(n_steps)
     for n in range(n_steps):
-        drift = f_mu.value(path, n)
-        noise[n] = g_nu.value(path, n)
-        path[n_hist + n + 1] = path[n_hist + n] + h * drift + noise[n] * increments[n]
-    return PathRecord(h, path[n_hist:].copy(), np.asarray(increments, dtype=float), noise)
+        g = noise.value(n)
+        path[n_hist + n + 1] = path[n_hist + n] + h * drift.value(n) + g * increments[n]
+        noise_values[n] = g[0]
+        drift.advance(n)
+        noise.advance(n)
+    values = path[n_hist:, 0].copy()
+    return PathRecord(h, values, np.asarray(increments, dtype=float), noise_values)
 
 
 def variation_of_constants_residual(

@@ -221,6 +221,7 @@ def run_pipeline(spec: ProblemSpec, commands: set[str], out_dir: str = ".") -> i
                 "T": spec.T,
                 "tilt": estimate.tilt,
                 "diverged_paths": estimate.diverged_paths,
+                "max_path_share": estimate.max_path_share,
                 "valid": estimate.valid,
                 "config_hash": config_hash(spec),
             }

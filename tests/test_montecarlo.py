@@ -1,8 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import sdde_meansq
 from sdde_meansq import (
     PhiSpec,
     SignedMeasure,
@@ -14,15 +20,110 @@ from sdde_meansq import (
     variation_of_constants_residual,
     verify_variation_of_constants,
 )
-from sdde_meansq.montecarlo import _normal_increments
+from sdde_meansq.measures import CompiledFunctional
+from sdde_meansq.montecarlo import _normal_increments, _WindowSums
 
 MU = SignedMeasure(1.0, atoms=((0.0, -1.0),))
 NU = SignedMeasure(1.0, atoms=((0.0, 1.0),))
 NU_ZERO = SignedMeasure(1.0)
+#: three off-grid knots, a sign change and no lag-0 atom
+NU_DENSITY = SignedMeasure(
+    1.0, atoms=((-1.0, 0.3),), density=((-0.837, 0.6), (-0.4113, -0.7), (-0.0671, 0.4))
+)
 
 
 def phi_const(h, value=1.0):
     return PhiSpec("constant", value=value).expand(1.0, h)
+
+
+def stacked_single_paths(mu, nu, phi, h, T, seed, m, tilt=0.0):
+    n_steps = round(T / h)
+    return np.stack([
+        simulate_single_path(
+            mu, nu, phi, h, T, _normal_increments(seed, i, i + 1, n_steps, h)[:, 0] + tilt * h
+        ).values
+        for i in range(m)
+    ], axis=1)
+
+
+def assert_window_sums_match_matvec(measure, h, paths):
+    """The evaluator against the dense ``value_vec`` at every step of ``paths``.
+
+    The gap is measured against sum |w| |x|, the size of the terms summed.
+    Every N steps the moments are summed afresh, exactly as a new evaluator
+    anchored at that step sums them.
+    """
+    fn = CompiledFunctional(measure, h)
+    N = fn.n_intervals
+    weights = np.zeros(N + 1) if fn.dens_weights is None else fn.dens_weights.copy()
+    for off, w in fn.atom_items:
+        weights[off] += w
+    evaluator = _WindowSums(fn, paths)
+    for n in range(paths.shape[0] - N - 1):
+        window = paths[n : n + N + 1]
+        gap = np.abs(evaluator.value(n) - fn.value_vec(paths, n))
+        assert np.all(gap <= 1e-12 * (np.abs(weights) @ np.abs(window)))
+        if n % N == 0:
+            fresh = _WindowSums(fn, paths)
+            fresh.anchor(n)
+            assert np.array_equal(evaluator.value(n), fresh.value(n))
+        evaluator.advance(n)
+
+
+class TestWindowSums:
+    @pytest.mark.parametrize("density, h", [
+        # knots off the grid, with a sign change
+        (((-0.837, 0.6), (-0.4113, -0.7), (-0.0671, 0.4)), 0.01),
+        # two knots inside the grid cell [-0.51, -0.50]
+        (((-0.9, 1.0), (-0.5077, 2.0), (-0.5031, -1.0), (0.0, 0.5)), 0.01),
+        # a density on part of [-alpha, 0] only, zero at both grid ends
+        (((-0.8, 0.0), (-0.3, 1.0)), 0.02),
+        # knots on the grid at both ends, so both trapezoid halvings apply
+        (((-1.0, 1.0), (-0.5, -1.0), (0.0, 1.0)), 0.125),
+        # a lone knot on a grid node weighs that node alone
+        (((-0.5, 2.0),), 0.125),
+    ])
+    def test_matches_matvec_on_random_paths(self, density, h):
+        m = SignedMeasure(1.0, atoms=((0.0, 0.7), (-1.0, -0.2)), density=density)
+        N = round(1.0 / h)
+        rng = np.random.default_rng(5)
+        assert_window_sums_match_matvec(m, h, rng.standard_normal((4 * N + 2, 3)))
+
+    @given(
+        knots=st.lists(
+            # values rounded so that no weight is subnormal
+            st.tuples(st.floats(-1.0, 0.0), st.floats(-3.0, 3.0).map(lambda v: round(v, 6))),
+            min_size=1, max_size=6,
+            unique_by=lambda k: k[0],
+        ),
+        h=st.sampled_from([0.25, 0.1, 0.05, 0.02]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_matvec_on_random_densities(self, knots, h, seed):
+        m = SignedMeasure(1.0, density=tuple(sorted(knots)))
+        N = round(1.0 / h)
+        paths = np.random.default_rng(seed).standard_normal((3 * N + 2, 2))
+        assert_window_sums_match_matvec(m, h, paths)
+
+    def test_matches_matvec_along_a_chain_with_densities_in_drift_and_noise(self):
+        # the paths come from the chain itself, so the windows carry its
+        # growth and correlation
+        h, T = 0.01, 4.0
+        mu = SignedMeasure(1.0, atoms=((0.0, -0.5),), density=((-1.0, 0.9), (-0.2327, -0.4)))
+        phi = PhiSpec("exponential", rate=-1.0).expand(1.0, h)
+        path = np.stack([
+            simulate_single_path(
+                mu, NU_DENSITY, phi, h, T, _normal_increments(2, i, i + 1, round(T / h), h)[:, 0]
+            ).values
+            for i in range(2)
+        ], axis=1)
+        padded = np.concatenate([np.repeat(phi.values[:-1, None], 2, axis=1), path])
+        for measure in (mu, NU_DENSITY):
+            assert_window_sums_match_matvec(measure, h, padded)
+
+    def test_atom_only_functional_keeps_no_moments(self):
+        fn = CompiledFunctional(SignedMeasure(1.0, atoms=((0.0, 1.0), (-0.5, 2.0))), 0.1)
+        assert fn.runs == () and fn.point_items == fn.atom_items
 
 
 class TestIncrements:
@@ -76,6 +177,21 @@ class TestSimulateMeanSquare:
         assert np.array_equal(est1.mean_sq, est2.mean_sq)
         assert np.array_equal(est1.stderr, est2.stderr)
 
+    def test_density_reproducible_across_worker_counts(self, monkeypatch):
+        h = 0.01
+        base = dict(step=h, horizon=1.0, path_count=3000, master_seed=77)
+        phi = phi_const(h)
+        est1 = simulate_mean_square(
+            MU, NU_DENSITY, phi, SimulationConfig(**base, worker_count=1)
+        )
+        monkeypatch.setenv("SDDE_MEANSQ_THREADS", "4")
+        est2 = simulate_mean_square(
+            MU, NU_DENSITY, phi, SimulationConfig(**base, worker_count=8)
+        )
+        assert np.array_equal(est1.mean_sq, est2.mean_sq)
+        assert np.array_equal(est1.stderr, est2.stderr)
+        assert est1.max_path_share == est2.max_path_share
+
     def test_diverged_paths_reported_not_dropped(self):
         # drift +60 at step .01 multiplies each path by ~1.6 per step: overflow
         mu = SignedMeasure(1.0, atoms=((0.0, 60.0),))
@@ -105,6 +221,9 @@ class TestSimulateMeanSquare:
         # float range near t = 57, while sqrt(w) X stays near sqrt(E X^2),
         # which grows like exp((b + c^2 / 2) t)
         (1.0, -1.0, 3.0, 0.01, 60.0, 64),
+        # the discrete log weight is heavy-tailed itself: one path holds
+        # nearly all of the weighted squares
+        (1.0, -1.0, 3.0, 0.01, 30.0, 64),
         # the first rescale comes before the delay horizon, so it also
         # covers the value at t = 0
         (1e148, -20.0, 5.0, 1e-3, 1.0, 64),
@@ -135,6 +254,42 @@ class TestSimulateMeanSquare:
         top = weighted.max(axis=1)
         spread = (weighted / top[:, None]).std(axis=1, ddof=1) * top / math.sqrt(m)
         assert np.allclose(est.stderr[1:], spread, rtol=1e-6, atol=0.0)
+        share = max(1.0 / m, (top / weighted.sum(axis=1)).max())
+        assert est.max_path_share == pytest.approx(share, rel=1e-8)
+
+    @pytest.mark.parametrize("c, h, T, m, low, high", [
+        # the heavy-tailed log weight: the stderr there is no bound
+        (3.0, 0.01, 30.0, 64, 0.99, 1.0),
+        # the tilt makes gbm's weighted squares nearly deterministic
+        (1.0, 1e-3, 1.0, 4096, 0.0, 1e-3),
+        (2.0, 1e-3, 1.0, 4096, 0.0, 1e-3),
+    ])
+    def test_max_path_share_flags_a_single_path_estimate(self, c, h, T, m, low, high):
+        nu = SignedMeasure(1.0, atoms=((0.0, c),))
+        cfg = SimulationConfig(step=h, horizon=T, path_count=m, master_seed=3)
+        est = simulate_mean_square(MU, nu, phi_const(h), cfg)
+        assert low <= est.max_path_share <= high
+
+    def test_density_rescale_matches_single_paths(self):
+        # the tilted chain passes 2**512 before the delay horizon, so the
+        # density moments follow the rescale of the rows they sum
+        x0, h, T, m, c = 1e148, 1e-3, 1.0, 16, 5.0
+        mu = SignedMeasure(1.0, atoms=((0.0, -20.0),))
+        nu = SignedMeasure(1.0, atoms=((0.0, c),), density=NU_DENSITY.density)
+        cfg = SimulationConfig(step=h, horizon=T, path_count=m, master_seed=3)
+        phi = phi_const(h, x0)
+        est = simulate_mean_square(mu, nu, phi, cfg)
+        lam = 2.0 * c
+        assert est.tilt == lam and est.valid
+        assert np.all(np.isfinite(est.mean_sq)) and np.all(np.isfinite(est.stderr))
+        values = stacked_single_paths(mu, nu, phi, h, T, 3, m, tilt=lam)
+        assert np.abs(values).max() > 2.0**512
+        n_steps = round(T / h)
+        t = h * np.arange(1, n_steps + 1)[:, None]
+        log_w = -lam * np.cumsum(_normal_increments(3, 0, m, n_steps, h), axis=0)
+        log_w -= 0.5 * lam * lam * t
+        weighted = np.exp(2.0 * np.log(np.abs(values[1:])) + log_w)
+        assert np.allclose(est.mean_sq[1:], weighted.mean(axis=1), rtol=1e-10, atol=0.0)
 
     def test_no_lag_zero_atom_is_plain_mean_of_squares(self):
         h, T, m = 0.01, 2.0, 12
@@ -149,6 +304,15 @@ class TestSimulateMeanSquare:
             ).values
             for i in range(m)
         ], axis=1)
+        assert np.array_equal(est.mean_sq, (values * values).sum(axis=1) / m)
+
+    def test_density_noise_matches_single_paths(self):
+        h, T, m = 0.01, 2.0, 12
+        mu = SignedMeasure(1.0, atoms=((0.0, -1.0),), density=((-1.0, 0.4), (-0.3, -0.2)))
+        cfg = SimulationConfig(step=h, horizon=T, path_count=m, master_seed=13)
+        est = simulate_mean_square(mu, NU_DENSITY, phi_const(h), cfg)
+        assert est.tilt == 0.0
+        values = stacked_single_paths(mu, NU_DENSITY, phi_const(h), h, T, 13, m)
         assert np.array_equal(est.mean_sq, (values * values).sum(axis=1) / m)
 
     def test_path_count_floor(self):
@@ -194,3 +358,16 @@ class TestVariationOfConstants:
         cfg = SimulationConfig(step=1e-3, horizon=2.0, path_count=2, master_seed=11)
         res = verify_variation_of_constants(MU, nu, phi, cfg, path_index=0)
         assert res < 1e-2
+
+
+def test_package_import_leaves_scipy_special_out():
+    # scipy.special is most of the import time and only the Monte Carlo
+    # increments need it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sdde_meansq.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, sdde_meansq; print('scipy.special' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True,
+        timeout=120,
+    )
+    assert out.stdout.strip() == "False"
