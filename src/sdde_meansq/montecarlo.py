@@ -104,7 +104,6 @@ class MomentEstimate:
 class PathRecord:
     """One simulated path with the data needed to replay its integrals."""
 
-    step: float
     values: np.ndarray
     increments: np.ndarray
     noise_values: np.ndarray
@@ -213,6 +212,32 @@ def _worker_count(hint: int) -> int:
     return workers
 
 
+def _euler_maruyama(f_mu, g_nu, paths, dw, h):
+    """Step a (time, paths) array in place, one row per increment row of ``dw``.
+
+    Returns the rescales (n, idx): step n scaled paths ``idx`` by
+    2**-RESCALE_BITS from row n + 1 on, which is exact as the chain is linear.
+    """
+    n_hist = paths.shape[0] - dw.shape[0] - 1
+    rescaled = []
+    drift, noise = _WindowSums(f_mu, paths), _WindowSums(g_nu, paths)
+    for n in range(dw.shape[0]):
+        row = paths[n_hist + n] + h * drift.value(n) + noise.value(n) * dw[n]
+        paths[n_hist + n + 1] = row
+        drift.advance(n)
+        noise.advance(n)
+        if n % RESCALE_STRIDE:
+            continue
+        over = np.abs(row) > 2.0**RESCALE_BITS
+        if over.any():
+            idx = np.flatnonzero(over & np.isfinite(row))
+            paths[n + 1 : n_hist + n + 2, idx] *= 2.0**-RESCALE_BITS
+            drift.scale(idx, 2.0**-RESCALE_BITS)
+            noise.scale(idx, 2.0**-RESCALE_BITS)
+            rescaled.append((n, idx))
+    return rescaled
+
+
 def _simulate_chunk(f_mu, g_nu, phi_values, n_steps, h, master_seed, lo, hi, tilt):
     n_hist = phi_values.size - 1
     # the paths and their increments share one allocation: one block that
@@ -223,27 +248,11 @@ def _simulate_chunk(f_mu, g_nu, phi_values, n_steps, h, master_seed, lo, hi, til
     _normal_increments(master_seed, lo, hi, n_steps, h, out=dw)
     paths[: n_hist + 1] = phi_values[:, None]
     dw += tilt * h
-    # (step, path indices) of every rescale of the rows a step reads; the
-    # chain is linear, so scaling them by a power of two is exact
-    rescaled = []
     with np.errstate(over="ignore", invalid="ignore"):
-        drift, noise = _WindowSums(f_mu, paths), _WindowSums(g_nu, paths)
-        for n in range(n_steps):
-            row = paths[n_hist + n] + h * drift.value(n) + noise.value(n) * dw[n]
-            paths[n_hist + n + 1] = row
-            drift.advance(n)
-            noise.advance(n)
-            if n:
-                dw[n] += dw[n - 1]
-            if n % RESCALE_STRIDE:
-                continue
-            over = np.abs(row) > 2.0**RESCALE_BITS
-            if over.any():
-                idx = np.flatnonzero(over & np.isfinite(row))
-                paths[n + 1 : n_hist + n + 2, idx] *= 2.0**-RESCALE_BITS
-                drift.scale(idx, 2.0**-RESCALE_BITS)
-                noise.scale(idx, 2.0**-RESCALE_BITS)
-                rescaled.append((n, idx))
+        rescaled = _euler_maruyama(f_mu, g_nu, paths, dw, h)
+        # row by row: np.cumsum(axis=0) walks the columns, several times slower
+        for n in range(1, n_steps):
+            dw[n] += dw[n - 1]
         body = paths[n_hist:]
         # dw now holds the driving path W = W~ + tilt t at t_1 .. t_n; the
         # log weight is -tilt W~ - tilt^2 t / 2 = tilt^2 t / 2 - tilt W.
@@ -305,11 +314,8 @@ def simulate_mean_square(
         )
 
     workers = min(_worker_count(cfg.worker_count), len(bounds))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(job, bounds))
-    else:
-        results = [job(b) for b in bounds]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        results = list(pool.map(job, bounds))
 
     total_sq = np.zeros(n_steps + 1)
     total_q4 = np.zeros(n_steps + 1)
@@ -344,22 +350,18 @@ def simulate_single_path(
 ) -> PathRecord:
     """One path driven by the given increments, with its noise terms recorded."""
     n_steps = exact_divisions(T, h, "horizon")
+    increments = np.asarray(increments, dtype=float)
     if increments.shape != (n_steps,):
         raise ConfigurationError(BAD_VALUE, "increments must have one entry per step")
     n_hist = phi.values.size - 1
     path = np.empty((n_hist + n_steps + 1, 1))
     path[: n_hist + 1, 0] = phi.values
-    drift = _WindowSums(CompiledFunctional(mu, h), path)
-    noise = _WindowSums(CompiledFunctional(nu, h), path)
-    noise_values = np.empty(n_steps)
-    for n in range(n_steps):
-        g = noise.value(n)
-        path[n_hist + n + 1] = path[n_hist + n] + h * drift.value(n) + g * increments[n]
-        noise_values[n] = g[0]
-        drift.advance(n)
-        noise.advance(n)
-    values = path[n_hist:, 0].copy()
-    return PathRecord(h, values, np.asarray(increments, dtype=float), noise_values)
+    g_nu = CompiledFunctional(nu, h)
+    # the chunks' stepper on one column, with its rescales undone exactly
+    for n, idx in _euler_maruyama(CompiledFunctional(mu, h), g_nu, path, increments[:, None], h):
+        path[n + 1 :, idx] *= 2.0**RESCALE_BITS
+    noise_values = g_nu.trace(path[:, 0])[:n_steps]
+    return PathRecord(path[n_hist:, 0], increments, noise_values)
 
 
 def variation_of_constants_residual(

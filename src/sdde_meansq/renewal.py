@@ -57,7 +57,9 @@ class RenewalProblem:
                 raise ConfigurationError(
                     BAD_VALUE, f"{name} must be nonnegative (min {lo})"
                 )
-            np.clip(tr.values, 0.0, None, out=tr.values)
+            if lo < 0.0:
+                # a clipped copy: the caller's array stays as it was
+                setattr(self, name, GridTrace(tr.step, np.clip(tr.values, 0.0, None)))
 
 
 def solve_renewal(p: RenewalProblem) -> GridTrace:

@@ -111,19 +111,6 @@ def kernel_first_moment(g: GridTrace, rate: float) -> float:
     return tilted_kernel_mass(GridTrace(g.step, g.times() * g.values), rate)
 
 
-def bisect_decreasing(fn, lo: float, hi: float) -> float:
-    """Root of the monotone decreasing fn(x) = 0 on [lo, hi]."""
-    for _ in range(_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        if fn(mid) >= 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= _ROOT_RTOL * max(1.0, hi):
-            break
-    return 0.5 * (lo + hi)
-
-
 def malthusian_rate(g: GridTrace) -> float:
     """Malthusian exponent: the sigma at which ``tilted_kernel_mass(g, sigma)`` is one.
 
@@ -256,9 +243,11 @@ def solve_b0(c: float, d: float, alpha: float) -> float:
     drifts below it are mean-square stable for the two-atom noise
     (c at lag 0, d at lag alpha).  For c*d >= 0 the function is strictly
     increasing, so the root is unique; in general the largest root is
-    bracketed by a downward scan from 0 and polished by bisection
-    (``bisect_decreasing`` on -fn).
+    bracketed by a downward scan from 0 and polished by Brent's method.
     """
+    # imported here: scipy.optimize loads scipy.special, which import leaves out
+    from scipy.optimize import brentq
+
     if c == 0.0 and d == 0.0:
         raise ValueError("c and d must not both be zero")
     s = c * c + d * d
@@ -278,4 +267,4 @@ def solve_b0(c: float, d: float, alpha: float) -> float:
         b_lo -= step
         if b_lo < 2.0 * b_floor:
             raise NumericalError("failed to bracket the stability boundary")
-    return bisect_decreasing(lambda b: -fn(b), b_lo, b_lo + step)
+    return brentq(fn, b_lo, b_lo + step, xtol=_ROOT_RTOL)

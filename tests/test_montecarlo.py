@@ -315,6 +315,26 @@ class TestSimulateMeanSquare:
         values = stacked_single_paths(mu, NU_DENSITY, phi_const(h), h, T, 13, m)
         assert np.array_equal(est.mean_sq, (values * values).sum(axis=1) / m)
 
+    @pytest.mark.parametrize("x0, T, path", [
+        # the tilted chain passes 2**512 (up to about 2**527) before the
+        # delay horizon, so the rescale also covers history rows
+        (1e148, 1.0, 7),
+        # it passes 2**512 near t = 2.2, so the rescale starts on a recorded row
+        (1e140, 3.0, 0),
+    ])
+    def test_single_path_undoes_its_rescales_exactly(self, x0, T, path):
+        # the stepper that the Monte Carlo chunks share rescales the path
+        b, c, h = -20.0, 5.0, 1e-3
+        lam = 2.0 * c
+        mu = SignedMeasure(1.0, atoms=((0.0, b),))
+        nu = SignedMeasure(1.0, atoms=((0.0, c),))
+        dw = _normal_increments(3, path, path + 1, round(T / h), h)[:, 0]
+        rec = simulate_single_path(mu, nu, phi_const(h, x0), h, T, dw + lam * h)
+        assert np.abs(rec.values).max() > 2.0**512
+        exact = x0 * np.cumprod(np.concatenate([[1.0], 1.0 + b * h + c * (dw + lam * h)]))
+        assert np.allclose(rec.values, exact, rtol=1e-13, atol=0.0)
+        assert np.array_equal(rec.noise_values, c * rec.values[:-1])
+
     def test_path_count_floor(self):
         with pytest.raises(Exception):
             SimulationConfig(step=0.01, horizon=1.0, path_count=1)
@@ -362,12 +382,15 @@ class TestVariationOfConstants:
 
 def test_package_import_leaves_scipy_special_out():
     # scipy.special is most of the import time and only the Monte Carlo
-    # increments need it
+    # increments need it; scipy.optimize, which solve_b0 alone uses, loads it
     src = os.path.dirname(os.path.dirname(os.path.abspath(sdde_meansq.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, sdde_meansq; print('scipy.special' in sys.modules)"
+    code = (
+        "import sys, sdde_meansq; "
+        "print('scipy.special' in sys.modules, 'scipy.optimize' in sys.modules)"
+    )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True,
         timeout=120,
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "False False"

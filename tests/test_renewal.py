@@ -124,6 +124,13 @@ class TestSolveRenewal:
         with pytest.raises(ConfigurationError):
             RenewalProblem(trace(0.1, -np.ones_like(t)), trace(0.1, np.zeros_like(t)))
 
+    def test_clipping_leaves_the_callers_arrays_alone(self):
+        f = np.array([1.0, -1e-13, 0.5, 0.25])
+        g = np.array([0.5, -1e-13, 0.0, 0.1])
+        p = RenewalProblem(GridTrace(0.1, f), GridTrace(0.1, g))
+        assert f[1] == -1e-13 and g[1] == -1e-13
+        assert p.forcing.values[1] == 0.0 and p.kernel.values[1] == 0.0
+
     def test_mismatched_grids_rejected(self):
         with pytest.raises(ConfigurationError):
             RenewalProblem(trace(0.1, np.ones(11)), trace(0.1, np.ones(12)))
