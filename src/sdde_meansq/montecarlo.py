@@ -20,6 +20,11 @@ bit.  The tilted chain may grow far faster than sqrt(w) X: the equation is
 linear, so a path that passes 2**512 has the history it still reads scaled
 down by that power of two, and the weight undoes it.  A path is reported
 diverged when sqrt(w) |X| passes 1e150 or the chain leaves the float range.
+
+A chunk streams through its delay window: it keeps a ring of N + 1 + BLOCK
+path rows, draws BLOCK steps of increments at a time from its paths'
+substreams, and reduces each finished block at once into the per-time sums,
+so its memory does not grow with the horizon.
 """
 
 import math
@@ -48,8 +53,8 @@ DIVERGE_LIMIT = 1e150
 #: outrun by growing 2**64-fold per step
 RESCALE_BITS = 512
 RESCALE_STRIDE = 8
-#: paths whose counter draws are gathered at once before the transpose
-RNG_BLOCK = 64
+#: steps a chunk draws, steps and reduces at a time; it keeps N + 1 + BLOCK path rows
+BLOCK = 256
 
 _U64 = (1 << 64) - 1
 
@@ -113,27 +118,34 @@ def _path_key(master_seed: int, path_index: int) -> int:
     return ((master_seed & _U64) << 64) | (path_index & _U64)
 
 
+def _path_streams(master_seed: int, lo: int, hi: int) -> list:
+    """The counter streams of paths [lo, hi), each at its first draw."""
+    return [np.random.Philox(key=_path_key(master_seed, i)) for i in range(lo, hi)]
+
+
 def _normal_increments(
-    master_seed: int, lo: int, hi: int, n_steps: int, h: float, out: np.ndarray | None = None
+    master_seed: int, lo: int, hi: int, n_steps: int, h: float, out: np.ndarray | None = None,
+    streams: list | None = None,
 ) -> np.ndarray:
     """Increments for paths [lo, hi) as an (n_steps, paths) array, written into ``out`` if given.
 
-    The counter draws are gathered a block of paths at a time and turned
-    into increments in place, so nothing beside ``out`` grows with the chunk.
+    ``streams`` (from ``_path_streams``) carries the paths' counter streams
+    from one call to the next, so a chunk can draw its increments a block of
+    steps at a time: consecutive calls give the rows of one long call.
     """
     # imported here: scipy.special is most of the package's import time
     from scipy.special import ndtri
 
+    if streams is None:
+        streams = _path_streams(master_seed, lo, hi)
     if out is None:
         out = np.empty((n_steps, hi - lo))
-    block = np.empty((min(RNG_BLOCK, hi - lo), n_steps))
-    for b in range(lo, hi, RNG_BLOCK):
-        e = min(b + RNG_BLOCK, hi)
-        for i in range(b, e):
-            bits = np.random.Philox(key=_path_key(master_seed, i))
-            gen = np.random.Generator(bits)
-            block[i - b] = gen.integers(0, 1 << 53, size=n_steps, dtype=np.int64)
-        out[:, b - lo : e - lo] = block[: e - b].T
+    raw = np.empty((hi - lo, n_steps), dtype=np.uint64)
+    for j, bits in enumerate(streams):
+        raw[j] = bits.random_raw(n_steps)
+    # the top 53 bits: numpy's integers(0, 2**53) draws exactly these
+    raw >>= 11
+    out[...] = raw.T
     out += 0.5
     out *= 2.0**-53
     ndtri(out, out=out)
@@ -144,14 +156,16 @@ def _normal_increments(
 class _WindowSums:
     """A functional on every path of a (time, paths) array, one step after another.
 
-    The segment of step n is ``paths[n : n + N + 1]``.  Point items read one
-    row each.  Each density run keeps the sliding trapezoid moments
-    S0 = sum_k x[n + j0 + k] and S1 = sum_k k x[n + j0 + k] over its L + 1
-    rows and contributes c0 S0 + c1 S1, so a step costs O(#runs) row
-    operations instead of O(N).  The moments are summed afresh from the
-    window every N steps, which bounds their rounding drift.  Every
-    operation is elementwise over paths, so a path's values do not depend
-    on which other paths share the array.
+    Row k of the padded path is ``paths[k % len(paths)]``, so the array may
+    be a ring that holds only the rows still read; the segment of step n is
+    rows n .. n + N.  Point items read one row each.  Each density run keeps
+    the sliding trapezoid moments S0 = sum_k x[n + j0 + k] and
+    S1 = sum_k k x[n + j0 + k] over its L + 1 rows and contributes
+    c0 S0 + c1 S1, so a step costs O(#runs) row operations instead of O(N).
+    The moments are summed afresh from the window every N steps, which
+    bounds their rounding drift.  Every operation is elementwise over
+    paths, so a path's values do not depend on which other paths share the
+    array.
     """
 
     def __init__(self, fn: CompiledFunctional, paths: np.ndarray):
@@ -162,21 +176,24 @@ class _WindowSums:
         self.runs = [(j0, L, c0, c1, np.empty(m), np.empty(m)) for j0, L, c0, c1 in fn.runs]
         self.anchor(0)
 
+    def row(self, k: int) -> np.ndarray:
+        return self.paths[k % self.paths.shape[0]]
+
     def anchor(self, n: int) -> None:
         """Sum the moments of step n directly from the window."""
         for j0, L, _, _, s0, s1 in self.runs:
             # suffix sums: S1 = sum over k >= 1 of sum_{i >= k} x[i]
-            s0[:] = self.paths[n + j0 + L]
+            s0[:] = self.row(n + j0 + L)
             s1[:] = 0.0
             for k in range(n + j0 + L - 1, n + j0 - 1, -1):
                 s1 += s0
-                s0 += self.paths[k]
+                s0 += self.row(k)
 
     def value(self, n: int) -> np.ndarray:
         """The functional at step n, once the moments are those of step n."""
         acc = np.zeros(self.paths.shape[1])
         for off, w in self.points:
-            acc += w * self.paths[n + off]
+            acc += w * self.row(n + off)
         for _, _, c0, c1, s0, s1 in self.runs:
             acc += c0 * s0
             acc += c1 * s1
@@ -188,9 +205,9 @@ class _WindowSums:
             self.anchor(n + 1)
             return
         for j0, L, _, _, s0, s1 in self.runs:
-            new = self.paths[n + j0 + L + 1]
+            new = self.row(n + j0 + L + 1)
             s0 += new
-            s0 -= self.paths[n + j0]
+            s0 -= self.row(n + j0)
             s1 += (L + 1.0) * new
             s1 -= s0
 
@@ -212,18 +229,22 @@ def _worker_count(hint: int) -> int:
     return workers
 
 
-def _euler_maruyama(f_mu, g_nu, paths, dw, h):
-    """Step a (time, paths) array in place, one row per increment row of ``dw``.
+def _euler_maruyama(drift, noise, dw, h, n_hist, start=0):
+    """Steps start, start + 1, ... of the chain, one per increment row of ``dw``.
 
+    ``drift`` and ``noise`` are the ``_WindowSums`` of the drift and noise
+    functionals on one (time, paths) array, carried from the step before
+    ``start``; padded row k (n_hist history rows, then t_0, t_1, ...) is
+    row k modulo the array's length, and step n writes row n + n_hist + 1.
     Returns the rescales (n, idx): step n scaled paths ``idx`` by
-    2**-RESCALE_BITS from row n + 1 on, which is exact as the chain is linear.
+    2**-RESCALE_BITS from padded row n + 1 on, which is exact as the chain
+    is linear.
     """
-    n_hist = paths.shape[0] - dw.shape[0] - 1
+    paths = drift.paths
     rescaled = []
-    drift, noise = _WindowSums(f_mu, paths), _WindowSums(g_nu, paths)
-    for n in range(dw.shape[0]):
-        row = paths[n_hist + n] + h * drift.value(n) + noise.value(n) * dw[n]
-        paths[n_hist + n + 1] = row
+    for n in range(start, start + dw.shape[0]):
+        row = drift.row(n + n_hist) + h * drift.value(n) + noise.value(n) * dw[n - start]
+        paths[(n + n_hist + 1) % paths.shape[0]] = row
         drift.advance(n)
         noise.advance(n)
         if n % RESCALE_STRIDE:
@@ -231,56 +252,88 @@ def _euler_maruyama(f_mu, g_nu, paths, dw, h):
         over = np.abs(row) > 2.0**RESCALE_BITS
         if over.any():
             idx = np.flatnonzero(over & np.isfinite(row))
-            paths[n + 1 : n_hist + n + 2, idx] *= 2.0**-RESCALE_BITS
+            window = np.arange(n + 1, n + n_hist + 2) % paths.shape[0]
+            paths[np.ix_(window, idx)] *= 2.0**-RESCALE_BITS
             drift.scale(idx, 2.0**-RESCALE_BITS)
             noise.scale(idx, 2.0**-RESCALE_BITS)
             rescaled.append((n, idx))
     return rescaled
 
 
+def _reduce(x, bad, sum_sq, sum_q4, scale, max_sq):
+    """Fold the rows of sqrt(w) X, one per time, into the per-time sums; ``x`` is overwritten.
+
+    NaN fails the comparison, so a chain that left the float range marks
+    its path in ``bad``.  The fourth powers are summed at the power-of-two
+    scale 2**-scale of the row's sum, which is exact and keeps them in range.
+    """
+    np.abs(x, out=x)
+    bad |= ~(x <= DIVERGE_LIMIT).all(axis=0)
+    sq = np.square(x, out=x)
+    sq.sum(axis=1, out=sum_sq)
+    scale[:] = np.frexp(sum_sq)[1]
+    np.ldexp(sq, -scale[:, None], out=sq)
+    sq.max(axis=1, out=max_sq)
+    np.square(sq, out=sq).sum(axis=1, out=sum_q4)
+
+
 def _simulate_chunk(f_mu, g_nu, phi_values, n_steps, h, master_seed, lo, hi, tilt):
+    """Per-time sums of w X^2 over paths [lo, hi), streamed a block of steps at a time."""
     n_hist = phi_values.size - 1
-    # the paths and their increments share one allocation: one block that
-    # large is mapped on its own and handed back to the system when freed,
-    # so the chunks' peak memory does not depend on how workers interleave
-    buf = np.empty((n_hist + 2 * n_steps + 1, hi - lo))
-    paths, dw = buf[: n_hist + n_steps + 1], buf[n_hist + n_steps + 1 :]
-    _normal_increments(master_seed, lo, hi, n_steps, h, out=dw)
+    m = hi - lo
+    block = min(BLOCK, n_steps)
+    size = n_hist + 1 + block
+    # the ring, one block of increments and one of weighted rows share one
+    # allocation: one block that large is mapped on its own and handed back
+    # to the system when freed, so the chunks' peak memory does not depend
+    # on how workers interleave
+    buf = np.empty((size + 2 * block, m))
+    paths, dw, work = buf[:size], buf[size : size + block], buf[size + block :]
     paths[: n_hist + 1] = phi_values[:, None]
-    dw += tilt * h
+    sum_sq, sum_q4, max_sq = np.empty((3, n_steps + 1))
+    scale = np.empty(n_steps + 1, dtype=np.intc)
+    bad = np.zeros(m, dtype=bool)
+    streams = _path_streams(master_seed, lo, hi)
+    drift, noise = _WindowSums(f_mu, paths), _WindowSums(g_nu, paths)
+    w_last = np.zeros(m)
+    # rescales of each path in the blocks before, all of which cover later rows
+    shifts = np.zeros(m, dtype=int)
+    lift = 0.5 * RESCALE_BITS * math.log(2.0)
     with np.errstate(over="ignore", invalid="ignore"):
-        rescaled = _euler_maruyama(f_mu, g_nu, paths, dw, h)
-        # row by row: np.cumsum(axis=0) walks the columns, several times slower
-        for n in range(1, n_steps):
-            dw[n] += dw[n - 1]
-        body = paths[n_hist:]
-        # dw now holds the driving path W = W~ + tilt t at t_1 .. t_n; the
-        # log weight is -tilt W~ - tilt^2 t / 2 = tilt^2 t / 2 - tilt W.
-        # body becomes sqrt(w) X with the rescales undone, applied as two
-        # quarter factors so that one under- or overflows only where
-        # sqrt(w) X itself does
-        dw *= -0.25 * tilt
-        dw += (0.125 * tilt * tilt * h * np.arange(1, n_steps + 1))[:, None]
-        for n, idx in rescaled:
-            # a rescale at step n covers body rows n + 1 - n_hist onwards
-            dw[max(n - n_hist, 0) :, idx] += 0.5 * RESCALE_BITS * math.log(2.0)
-            if n < n_hist:
-                body[0, idx] *= 2.0**RESCALE_BITS
-        np.exp(dw, out=dw)
-        body[1:] *= dw
-        body[1:] *= dw
-        # the rest works in place on the paths' memory; NaN fails the
-        # comparison, so a chain that left the float range counts as diverged
-        np.abs(body, out=body)
-        bad = ~(body <= DIVERGE_LIMIT).all(axis=0)
-        sq = np.square(body, out=body)
-        sum_sq = sq.sum(axis=1)
-        # fourth powers are summed at the power-of-two scale 2**-scale of the
-        # chunk's sum, which is exact and keeps them in range
-        scale = np.frexp(sum_sq)[1]
-        np.ldexp(sq, -scale[:, None], out=sq)
-        max_sq = sq.max(axis=1)
-        sum_q4 = np.square(sq, out=sq).sum(axis=1)
+        # t = 0 carries no weight and comes before every rescale
+        work[0] = paths[n_hist]
+        _reduce(work[:1], bad, sum_sq[:1], sum_q4[:1], scale[:1], max_sq[:1])
+        for s0 in range(0, n_steps, block):
+            s1 = min(s0 + block, n_steps)
+            inc, x = dw[: s1 - s0], work[: s1 - s0]
+            _normal_increments(master_seed, lo, hi, s1 - s0, h, out=inc, streams=streams)
+            inc += tilt * h
+            rescaled = _euler_maruyama(drift, noise, inc, h, n_hist, s0)
+            # row by row: np.cumsum(axis=0) walks the columns, several times slower
+            inc[0] += w_last
+            for i in range(1, s1 - s0):
+                inc[i] += inc[i - 1]
+            w_last[:] = inc[-1]
+            # inc now holds the driving path W = W~ + tilt t at t_{s0+1} ..
+            # t_{s1}; the log weight is -tilt W~ - tilt^2 t / 2 = tilt^2 t / 2
+            # - tilt W.  x becomes sqrt(w) X with the rescales undone,
+            # applied as two quarter factors so that one under- or overflows
+            # only where sqrt(w) X itself does.  Rows reduced in earlier
+            # blocks were whole when reduced and need nothing.
+            inc *= -0.25 * tilt
+            inc += (0.125 * tilt * tilt * h * np.arange(s0 + 1, s1 + 1))[:, None]
+            for j in range(shifts.max()):
+                inc[:, shifts > j] += lift
+            for n, idx in rescaled:
+                # a rescale at step n covers the rows of t_{n + 1 - n_hist} onwards
+                inc[max(n - n_hist - s0, 0) :, idx] += lift
+                shifts[idx] += 1
+            np.exp(inc, out=inc)
+            rows = np.arange(n_hist + s0 + 1, n_hist + s1 + 1)
+            np.take(paths, rows, axis=0, out=x, mode="wrap")
+            x *= inc
+            x *= inc
+            _reduce(x, bad, *(a[s0 + 1 : s1 + 1] for a in (sum_sq, sum_q4, scale, max_sq)))
     return sum_sq, sum_q4, scale, int(np.count_nonzero(bad)), max_sq
 
 
@@ -357,8 +410,9 @@ def simulate_single_path(
     path = np.empty((n_hist + n_steps + 1, 1))
     path[: n_hist + 1, 0] = phi.values
     g_nu = CompiledFunctional(nu, h)
-    # the chunks' stepper on one column, with its rescales undone exactly
-    for n, idx in _euler_maruyama(CompiledFunctional(mu, h), g_nu, path, increments[:, None], h):
+    drift = _WindowSums(CompiledFunctional(mu, h), path)
+    # the chunks' stepper on one full-length column, with its rescales undone exactly
+    for n, idx in _euler_maruyama(drift, _WindowSums(g_nu, path), increments[:, None], h, n_hist):
         path[n + 1 :, idx] *= 2.0**RESCALE_BITS
     noise_values = g_nu.trace(path[:, 0])[:n_steps]
     return PathRecord(path[n_hist:, 0], increments, noise_values)

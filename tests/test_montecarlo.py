@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,17 @@ from sdde_meansq import (
     verify_variation_of_constants,
 )
 from sdde_meansq.measures import CompiledFunctional
-from sdde_meansq.montecarlo import _normal_increments, _WindowSums
+from sdde_meansq.montecarlo import (
+    CHUNK,
+    DIVERGE_LIMIT,
+    RESCALE_BITS,
+    _euler_maruyama,
+    _normal_increments,
+    _path_key,
+    _path_streams,
+    _simulate_chunk,
+    _WindowSums,
+)
 
 MU = SignedMeasure(1.0, atoms=((0.0, -1.0),))
 NU = SignedMeasure(1.0, atoms=((0.0, 1.0),))
@@ -30,6 +41,8 @@ NU_ZERO = SignedMeasure(1.0)
 NU_DENSITY = SignedMeasure(
     1.0, atoms=((-1.0, 0.3),), density=((-0.837, 0.6), (-0.4113, -0.7), (-0.0671, 0.4))
 )
+NU_DENSITY_TILTED = SignedMeasure(1.0, atoms=((0.0, 0.8),), density=NU_DENSITY.density)
+MU_DENSITY = SignedMeasure(1.0, atoms=((0.0, -1.0),), density=((-1.0, 0.4), (-0.3, -0.2)))
 
 
 def phi_const(h, value=1.0):
@@ -68,6 +81,52 @@ def assert_window_sums_match_matvec(measure, h, paths):
             fresh.anchor(n)
             assert np.array_equal(evaluator.value(n), fresh.value(n))
         evaluator.advance(n)
+
+
+def reference_chunk(f_mu, g_nu, phi_values, n_steps, h, master_seed, lo, hi, tilt):
+    """A chunk that holds its whole horizon of paths and increments, reduced at the end.
+
+    The layout that ``_simulate_chunk`` replaces with a ring: the same
+    stepper on one full-length array, the increments drawn in one call, and
+    the driving path, the weights and the rescale corrections formed once
+    every step is done, on every row a rescale scaled.
+    """
+    n_hist = phi_values.size - 1
+    paths = np.empty((n_hist + n_steps + 1, hi - lo))
+    paths[: n_hist + 1] = phi_values[:, None]
+    dw = _normal_increments(master_seed, lo, hi, n_steps, h)
+    dw += tilt * h
+    with np.errstate(over="ignore", invalid="ignore"):
+        drift, noise = _WindowSums(f_mu, paths), _WindowSums(g_nu, paths)
+        rescaled = _euler_maruyama(drift, noise, dw, h, n_hist)
+        for n in range(1, n_steps):
+            dw[n] += dw[n - 1]
+        body = paths[n_hist:]
+        dw *= -0.25 * tilt
+        dw += (0.125 * tilt * tilt * h * np.arange(1, n_steps + 1))[:, None]
+        for n, idx in rescaled:
+            dw[max(n - n_hist, 0) :, idx] += 0.5 * RESCALE_BITS * math.log(2.0)
+            if n < n_hist:
+                body[0, idx] *= 2.0**RESCALE_BITS
+        np.exp(dw, out=dw)
+        body[1:] *= dw
+        body[1:] *= dw
+        np.abs(body, out=body)
+        bad = ~(body <= DIVERGE_LIMIT).all(axis=0)
+        sq = np.square(body, out=body)
+        sum_sq = sq.sum(axis=1)
+        scale = np.frexp(sum_sq)[1]
+        np.ldexp(sq, -scale[:, None], out=sq)
+        max_sq = sq.max(axis=1)
+        sum_q4 = np.square(sq, out=sq).sum(axis=1)
+    return sum_sq, sum_q4, scale, int(np.count_nonzero(bad)), max_sq
+
+
+def both_chunks(mu, nu, x0, h, T, seed, lo, hi):
+    f_mu, g_nu = CompiledFunctional(mu, h), CompiledFunctional(nu, h)
+    tilt = 2.0 * g_nu.atom_at.get(g_nu.n_intervals, 0.0)
+    args = (f_mu, g_nu, phi_const(h, x0).values, round(T / h), h, seed, lo, hi, tilt)
+    return _simulate_chunk(*args), reference_chunk(*args)
 
 
 class TestWindowSums:
@@ -131,10 +190,29 @@ class TestIncrements:
         a = _normal_increments(99, 0, 6, 50, 0.01)
         b = _normal_increments(99, 3, 4, 50, 0.01)
         assert np.array_equal(a[:, 3], b[:, 0])
-        # past the first gathering block of paths, with a partial last block
         a = _normal_increments(99, 0, 150, 50, 0.01)
         b = _normal_increments(99, 130, 131, 50, 0.01)
         assert np.array_equal(a[:, 130], b[:, 0])
+
+    @pytest.mark.parametrize("seed, lo", [(0, 0), (1, 5), (2**63 + 7, 2047), (123456789, 10**6)])
+    @pytest.mark.parametrize("lengths", [(600,), (150, 150, 150, 150), (1, 255, 256, 88), (3, 597)])
+    def test_draws_in_blocks_are_the_bounded_integer_draws(self, seed, lo, lengths):
+        # the reference: numpy's bounded integers in [0, 2**53) on each path's
+        # stream, in one call, turned into increments as the module does
+        from scipy.special import ndtri
+
+        h, hi, n = 0.01, lo + 3, sum(lengths)
+        ints = np.stack([
+            np.random.Generator(np.random.Philox(key=_path_key(seed, i))).integers(
+                0, 1 << 53, size=n, dtype=np.int64
+            )
+            for i in range(lo, hi)
+        ], axis=1)
+        reference = ndtri((ints + 0.5) * 2.0**-53) * math.sqrt(h)
+        streams = _path_streams(seed, lo, hi)
+        blocks = [_normal_increments(seed, lo, hi, k, h, streams=streams) for k in lengths]
+        assert np.array_equal(np.concatenate(blocks), reference)
+        assert np.array_equal(_normal_increments(seed, lo, hi, n, h), reference)
 
     def test_distinct_paths_and_seeds(self):
         a = _normal_increments(1, 0, 2, 100, 0.01)
@@ -334,6 +412,61 @@ class TestSimulateMeanSquare:
         exact = x0 * np.cumprod(np.concatenate([[1.0], 1.0 + b * h + c * (dw + lam * h)]))
         assert np.allclose(rec.values, exact, rtol=1e-13, atol=0.0)
         assert np.array_equal(rec.noise_values, c * rec.values[:-1])
+
+    @pytest.mark.parametrize("mu, nu, h, T, lo, m", [
+        # fewer steps than a block, N < BLOCK, density noise with a lag-0 atom
+        (MU, NU_DENSITY_TILTED, 0.01, 1.0, 0, 37),
+        # steps not a multiple of BLOCK; the density anchors at 200 and 300
+        # straddle the block boundary at 256
+        (MU, NU_DENSITY_TILTED, 0.01, 6.5, 0, 37),
+        # no lag-0 atom, so no tilt; densities in drift and noise
+        (MU_DENSITY, NU_DENSITY, 0.01, 6.5, 0, 37),
+        # an anchor falls on the block boundary at 256
+        (MU_DENSITY, NU_DENSITY_TILTED, 1.0 / 128, 4.0, 0, 21),
+        # N > BLOCK, so a block's window reaches back over several blocks
+        (MU, NU_DENSITY_TILTED, 1e-3, 1.3, 0, 21),
+        (MU_DENSITY, NU_DENSITY, 1e-3, 1.3, 0, 21),
+        # the second chunk of a run, on atoms only
+        (MU, NU, 0.01, 6.5, CHUNK, 40),
+    ])
+    def test_streamed_chunk_matches_full_horizon_chunk(self, mu, nu, h, T, lo, m):
+        streamed, reference = both_chunks(mu, nu, 1.0, h, T, 5, lo, lo + m)
+        for got, want in zip(streamed, reference):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("x0, b, c, h, T", [
+        # rescaled before the delay horizon, so also on history rows
+        (1e148, -20.0, 5.0, 1e-3, 1.0),
+        # rescaled again and again over 6000 steps, across many blocks
+        (1.0, -1.0, 3.0, 0.01, 60.0),
+    ])
+    def test_streamed_chunk_matches_full_horizon_chunk_through_rescales(self, x0, b, c, h, T):
+        # rows reduced before a rescale are no longer scaled and unscaled,
+        # so the two agree to rounding only
+        mu = SignedMeasure(1.0, atoms=((0.0, b),))
+        nu = SignedMeasure(1.0, atoms=((0.0, c),))
+        streamed, reference = both_chunks(mu, nu, x0, h, T, 3, 0, 16)
+        (sq, q4, scale, bad, top), (sq_r, q4_r, scale_r, bad_r, top_r) = streamed, reference
+        assert bad == bad_r
+        assert np.allclose(sq, sq_r, rtol=1e-12, atol=0.0)
+        assert np.allclose(np.ldexp(q4, 2 * (scale - scale_r)), q4_r, rtol=1e-12, atol=0.0)
+        assert np.allclose(np.ldexp(top, scale - scale_r), top_r, rtol=1e-12, atol=0.0)
+
+    def test_memory_does_not_grow_with_the_horizon(self):
+        # a chunk keeps N + 1 + BLOCK rows, not the whole horizon
+        h = 0.01
+        _normal_increments(0, 0, 1, 1, h)
+
+        def peak(T):
+            cfg = SimulationConfig(step=h, horizon=T, path_count=CHUNK, master_seed=1)
+            tracemalloc.start()
+            try:
+                simulate_mean_square(MU, NU, phi_const(h), cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(20.0) <= 1.5 * peak(2.0)
 
     def test_path_count_floor(self):
         with pytest.raises(Exception):
