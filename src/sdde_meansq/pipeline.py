@@ -134,10 +134,26 @@ def monte_carlo_mean_square(spec: ProblemSpec) -> MomentEstimate:
     return simulate_mean_square(spec.mu, spec.nu, spec.phi_segment(), cfg)
 
 
+#: ``emit_csv`` formats and writes this many rows at a time
+_CSV_ROWS = 4096
+
+
 def emit_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
-    """Fixed column order, 17 significant digits, LF line endings."""
-    np.savetxt(path, np.column_stack(columns), fmt="%.17g", delimiter=",",
-               header=",".join(header), comments="")
+    """Fixed column order, 17 significant digits, LF line endings.
+
+    The first column holds the times.  A non-finite value in any column is
+    a NumericalError naming its time, and then no file is written.
+    """
+    times = columns[0]
+    step = times[1] - times[0] if times.size > 1 else 0.0
+    for name, col in zip(header, columns):
+        require_finite(col, step, f"{path.name} column {name}")
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    with open(path, "w", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for lo in range(0, times.size, _CSV_ROWS):
+            rows = zip(*(col[lo : lo + _CSV_ROWS].tolist() for col in columns))
+            fh.write("".join(map(row.__mod__, rows)))
 
 
 def report_document(spec: ProblemSpec, report: StabilityReport) -> dict:

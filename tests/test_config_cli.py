@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import subprocess
@@ -16,7 +17,7 @@ from sdde_meansq import (
     with_overrides,
 )
 from sdde_meansq.cli import main as cli_main
-from sdde_meansq.pipeline import emit_csv
+from sdde_meansq.pipeline import _CSV_ROWS, emit_csv
 
 GBM = {
     "alpha": 1,
@@ -106,7 +107,7 @@ class TestEmitCsv:
 
     def test_bytes_match_a_per_value_writer(self, tmp_path):
         # the reference formats each value with format(x, ".17g")
-        col = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 1.0 / 3.0, 1e300, -2.5e-8])
+        col = np.array([0.0, -0.0, 5e-324, 1.0 / 3.0, 1e300, -2.5e-8])
         cols = [np.arange(col.size) * 0.1, col, col[::-1]]
         p = tmp_path / "special.csv"
         emit_csv(p, ["t", "a", "b"], cols)
@@ -118,6 +119,38 @@ class TestEmitCsv:
         p = tmp_path / "empty.csv"
         emit_csv(p, ["t", "value"], [np.array([]), np.array([])])
         assert p.read_text() == "t,value\n"
+
+    @pytest.mark.parametrize("n_cols", [1, 2, 3, 4, 5])
+    def test_bytes_match_savetxt(self, tmp_path, n_cols):
+        # more rows than one write slice, so slice boundaries are covered
+        n = 2 * _CSV_ROWS + 3
+        special = np.array([-0.0, 5e-324, 1e300, -1e300, 2.0**53, 1.0 / 3.0])
+        cols = [np.arange(n) * 0.001]
+        for k in range(1, n_cols):
+            col = np.random.default_rng(k).standard_normal(n) * 10.0**k
+            if k % 2:
+                col = np.round(col)  # integer-valued
+            col[k : k + special.size] = special
+            cols.append(col)
+        header = [f"c{k}" for k in range(n_cols)]
+        p = tmp_path / "out.csv"
+        emit_csv(p, header, cols)
+        ref = io.BytesIO()
+        np.savetxt(ref, np.column_stack(cols), fmt="%.17g", delimiter=",",
+                   header=",".join(header), comments="")
+        body = p.read_bytes()
+        assert body == ref.getvalue()
+        assert b"\r" not in body
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_column_raises(self, tmp_path, bad):
+        t = np.arange(5) * 0.25
+        v = np.ones(5)
+        v[3] = bad
+        p = tmp_path / "bad.csv"
+        with pytest.raises(NumericalError, match=r"column value .* t = 0\.75"):
+            emit_csv(p, ["t", "value"], [t, v])
+        assert not p.exists()
 
 
 def _write(tmp_path, document, name="prob.json"):
@@ -222,6 +255,21 @@ class TestCli:
         out = tmp_path / "out"
         assert cli_main(["simulate", "--config", cfg, "--out", str(out)]) == 3
         assert "64 of 64 Monte Carlo paths diverged" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    def test_infinite_z_exits_numerical_failure(self, tmp_path, capsys):
+        # no noise: the Monte Carlo stderr is 0 while the two routes differ
+        # by discretization, so z is infinite from the first step on
+        d = doc(
+            nu={"atoms": [[0, 0]]},
+            numerical={"h": 0.01, "T": 1, "mc": {"paths": 64, "seed": 3}},
+        )
+        cfg = _write(tmp_path, d)
+        out = tmp_path / "out"
+        assert cli_main(["compare", "--config", cfg, "--out", str(out)]) == 3
+        assert "compare.csv column z leaves the floating-point range at t = 0.01" in (
+            capsys.readouterr().err
+        )
         assert list(out.iterdir()) == []
 
     def test_simulate_requires_mc_settings(self, tmp_path):

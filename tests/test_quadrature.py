@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sdde_meansq.quadrature import _BASE, _FFT_BLOCK, convolve, solve_causal, times_exp
+from sdde_meansq.quadrature import (
+    _BASE, _DIRECT, _FFT_BLOCK, convolve, solve_causal, times_exp,
+)
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -60,15 +62,54 @@ class TestSolveCausal:
         solve_causal(np.array([0.0, q]), y, 1)
         assert np.abs(y / q ** np.arange(y.size) - 1.0).max() < 1e-13
 
+    def test_two_tap_chain_makes_no_fft_call(self, monkeypatch):
+        # a lag-0 drift gives Heun two taps; 189001 points is h = 1e-4 at T = 18.9
+        calls = []
+        for name in ("rfft", "irfft"):
+            original = getattr(np.fft, name)
+
+            def counted(*args, _original=original, **kwargs):
+                calls.append(1)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, counted)
+        q = 1.0 - 1e-4 + 0.5e-8
+        y = np.zeros(189_001)
+        y[0] = 1.0
+        solve_causal(np.array([0.0, q]), y, 1)
+        assert not calls
+        exact = q ** np.arange(y.size)
+        assert np.abs(y / exact - 1.0).max() < 1e-12
+
 
 class TestConvolve:
-    @pytest.mark.parametrize("na, nb, n_out", [(1, 1, 1), (3, 5000, 5000), (5000, 7, 4000),
-                                               (4097, 4097, 8193)])
+    @pytest.mark.parametrize("na, nb, n_out", [
+        (1, 1, 1), (3, 5000, 5000), (5000, 7, 4000), (4097, 4097, 8193),
+        # both sides of the method choice: one short input, then the product bound
+        (_DIRECT, 40_000, 40_063), (_DIRECT + 1, 40_000, 40_064),
+        (512, 512, 1023), (513, 512, 1024), (1024, 2048, 3071),
+        # n_out past the full length, direct and FFT
+        (3, 4, 12), (700, 800, 1505),
+    ])
     def test_matches_numpy(self, na, nb, n_out):
         rng = np.random.default_rng(na + nb)
         a, b = rng.random(na), rng.random(nb)
-        ref = np.convolve(a, b)[:n_out]
+        full = np.convolve(a, b)
+        ref = np.concatenate((full, np.zeros(max(0, n_out - full.size))))[:n_out]
         assert np.abs(convolve(a, b, n_out) - ref).max() <= 1e-13 * ref.max()
+
+    @pytest.mark.parametrize("na, nb", [(0, 5), (5, 0), (0, 0), (0, 5000)])
+    def test_empty_input_gives_zeros(self, na, nb):
+        out = convolve(np.ones(na), np.ones(nb), 7)
+        assert np.array_equal(out, np.zeros(7))
+
+    @pytest.mark.parametrize("na, nb", [(2, 10), (700, 800)])
+    def test_out_of_range_inputs_raise_no_warning(self, na, nb):
+        a, b = np.full(na, 1e300), np.full(nb, 1e300)
+        a[1] = np.inf
+        out = convolve(a, b, na + nb - 1)
+        assert not np.isfinite(out).any()
+        assert np.isfinite(convolve(np.full(na, 1e300), np.full(nb, 1e-300), 9)).all()
 
 
 class TestTimesExp:
