@@ -4,8 +4,9 @@
         --config FILE [--out DIR] [--seed N] [--paths M] [--step H] [--horizon T]
 
 Flags override the corresponding config fields.  The SDDE_MEANSQ_THREADS
-environment variable caps simulation workers.  Exit codes: 0 success,
-1 configuration error, 2 uncertified classification, 3 numerical failure.
+environment variable caps the simulation's thread budget.  Exit codes:
+0 success, 1 configuration error, 2 uncertified classification,
+3 numerical failure.
 """
 
 import argparse

@@ -5,8 +5,10 @@ segments read off the path's own grid (the step divides the delay horizon,
 so no interpolation happens).  Every path owns a counter-based substream
 keyed by (master seed, path index); normal increments come from the inverse
 normal CDF applied to 53-bit counter draws.  Work is split into fixed-size
-path chunks whose partial sums are combined in chunk order, so estimates
-are bit-identical no matter how many workers run.
+path chunks, run one after another, whose partial sums are combined in
+chunk order.  With a thread budget of two or more, one helper thread turns
+raw counter bits into increments while the calling thread steps; it writes
+the same increments, so estimates are bit-identical at every budget.
 
 The second moment is estimated by importance sampling with a constant-drift
 Girsanov tilt: the chain is driven by dW = dW~ + lambda h with dW~ the
@@ -24,12 +26,15 @@ diverged when sqrt(w) |X| passes 1e150 or the chain leaves the float range.
 A chunk streams through its delay window: it keeps a ring of N + 1 + BLOCK
 path rows, draws BLOCK steps of increments at a time from its paths'
 substreams, and reduces each finished block at once into the per-time sums,
-so its memory does not grow with the horizon.
+so its memory does not grow with the horizon.  The increments of the next
+block are made while a block is stepped, so a chunk holds two blocks of
+increments and one of raw bits.
 """
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,26 +128,23 @@ def _path_streams(master_seed: int, lo: int, hi: int) -> list:
     return [np.random.Philox(key=_path_key(master_seed, i)) for i in range(lo, hi)]
 
 
-def _normal_increments(
-    master_seed: int, lo: int, hi: int, n_steps: int, h: float, out: np.ndarray | None = None,
-    streams: list | None = None,
-) -> np.ndarray:
-    """Increments for paths [lo, hi) as an (n_steps, paths) array, written into ``out`` if given.
+def _raw_bits(streams: list, out: np.ndarray) -> np.ndarray:
+    """The next ``out.shape[1]`` raw 64-bit draws of each stream, one stream per row of ``out``."""
+    for j, bits in enumerate(streams):
+        out[j] = bits.random_raw(out.shape[1])
+    return out
 
-    ``streams`` (from ``_path_streams``) carries the paths' counter streams
-    from one call to the next, so a chunk can draw its increments a block of
-    steps at a time: consecutive calls give the rows of one long call.
+
+def _increments_from_bits(raw: np.ndarray, h: float, shift: float, out: np.ndarray) -> np.ndarray:
+    """N(0, h) increments plus ``shift`` from (paths, steps) raw bits, into (steps, paths) ``out``.
+
+    ``raw`` is overwritten.  Every value stays finite and away from the
+    subnormals, so no floating-point flag is raised: the transform may run
+    on a thread that does not share its caller's ``np.errstate``.
     """
     # imported here: scipy.special is most of the package's import time
     from scipy.special import ndtri
 
-    if streams is None:
-        streams = _path_streams(master_seed, lo, hi)
-    if out is None:
-        out = np.empty((n_steps, hi - lo))
-    raw = np.empty((hi - lo, n_steps), dtype=np.uint64)
-    for j, bits in enumerate(streams):
-        raw[j] = bits.random_raw(n_steps)
     # the top 53 bits: numpy's integers(0, 2**53) draws exactly these
     raw >>= 11
     out[...] = raw.T
@@ -150,7 +152,24 @@ def _normal_increments(
     out *= 2.0**-53
     ndtri(out, out=out)
     out *= math.sqrt(h)
+    out += shift
     return out
+
+
+def _normal_increments(
+    master_seed: int, lo: int, hi: int, n_steps: int, h: float, streams: list | None = None
+) -> np.ndarray:
+    """Increments for paths [lo, hi) as an (n_steps, paths) array.
+
+    ``streams`` (from ``_path_streams``) carries the paths' counter streams
+    from one call to the next: consecutive calls give the rows of one long
+    call.  A chunk calls the two halves, ``_raw_bits`` and
+    ``_increments_from_bits``, itself, so that they can run on two threads.
+    """
+    if streams is None:
+        streams = _path_streams(master_seed, lo, hi)
+    raw = _raw_bits(streams, np.empty((hi - lo, n_steps), dtype=np.uint64))
+    return _increments_from_bits(raw, h, 0.0, np.empty((n_steps, hi - lo)))
 
 
 class _WindowSums:
@@ -218,7 +237,7 @@ class _WindowSums:
             s1[idx] *= factor
 
 
-def _worker_count(hint: int) -> int:
+def _thread_budget(hint: int) -> int:
     env = os.environ.get("SDDE_MEANSQ_THREADS")
     workers = max(1, hint)
     if env:
@@ -277,37 +296,55 @@ def _reduce(x, bad, sum_sq, sum_q4, scale, max_sq):
     np.square(sq, out=sq).sum(axis=1, out=sum_q4)
 
 
-def _simulate_chunk(f_mu, g_nu, phi_values, n_steps, h, master_seed, lo, hi, tilt):
-    """Per-time sums of w X^2 over paths [lo, hi), streamed a block of steps at a time."""
+def _simulate_chunk(f_mu, g_nu, phi_values, n_steps, h, master_seed, lo, hi, tilt, helper=None):
+    """Per-time sums of w X^2 over paths [lo, hi), streamed a block of steps at a time.
+
+    While block b is stepped, the executor ``helper`` (one thread, or None
+    to do everything on this thread) turns block b + 1's raw bits into
+    increments.  The raw bits are drawn here, between the two.
+    """
     n_hist = phi_values.size - 1
     m = hi - lo
     block = min(BLOCK, n_steps)
     size = n_hist + 1 + block
-    # the ring, one block of increments and one of weighted rows share one
-    # allocation: one block that large is mapped on its own and handed back
-    # to the system when freed, so the chunks' peak memory does not depend
-    # on how workers interleave
-    buf = np.empty((size + 2 * block, m))
-    paths, dw, work = buf[:size], buf[size : size + block], buf[size + block :]
+    # the ring, two blocks of increments, one of weighted rows and one of
+    # raw bits share one allocation: one block that large is mapped on its
+    # own and handed back to the system when freed
+    buf = np.empty((size + 4 * block, m))
+    paths, work = buf[:size], buf[size : size + block]
+    dws = buf[size + block : size + 3 * block].reshape(2, block, m)
+    raw = buf[size + 3 * block :].view(np.uint64).reshape(m, block)
     paths[: n_hist + 1] = phi_values[:, None]
     sum_sq, sum_q4, max_sq = np.empty((3, n_steps + 1))
     scale = np.empty(n_steps + 1, dtype=np.intc)
     bad = np.zeros(m, dtype=bool)
     streams = _path_streams(master_seed, lo, hi)
+
+    def draw(s0):
+        """Block s0's bits, and a future of its increments; the bits are free once it is done."""
+        k = min(s0 + block, n_steps) - s0
+        args = (_raw_bits(streams, raw[:, :k]), h, tilt * h, dws[s0 // block % 2, :k])
+        if helper is not None:
+            return helper.submit(_increments_from_bits, *args)
+        done = Future()
+        done.set_result(_increments_from_bits(*args))
+        return done
+
     drift, noise = _WindowSums(f_mu, paths), _WindowSums(g_nu, paths)
     w_last = np.zeros(m)
     # rescales of each path in the blocks before, all of which cover later rows
     shifts = np.zeros(m, dtype=int)
     lift = 0.5 * RESCALE_BITS * math.log(2.0)
+    pending = draw(0)
     with np.errstate(over="ignore", invalid="ignore"):
         # t = 0 carries no weight and comes before every rescale
         work[0] = paths[n_hist]
         _reduce(work[:1], bad, sum_sq[:1], sum_q4[:1], scale[:1], max_sq[:1])
         for s0 in range(0, n_steps, block):
             s1 = min(s0 + block, n_steps)
-            inc, x = dw[: s1 - s0], work[: s1 - s0]
-            _normal_increments(master_seed, lo, hi, s1 - s0, h, out=inc, streams=streams)
-            inc += tilt * h
+            inc, x = pending.result(), work[: s1 - s0]
+            if s1 < n_steps:
+                pending = draw(s1)
             rescaled = _euler_maruyama(drift, noise, inc, h, n_hist, s0)
             # row by row: np.cumsum(axis=0) walks the columns, several times slower
             inc[0] += w_last
@@ -348,8 +385,14 @@ def simulate_mean_square(
     sample variance of the weighted squares.  With no atom at lag 0 the
     tilt is 0 and the estimate is the plain mean of X^2.
 
-    Deterministic given (problem, cfg.master_seed): worker count and the
-    SDDE_MEANSQ_THREADS cap only change scheduling, never the estimate.
+    Deterministic given (problem, cfg.master_seed).  The thread budget,
+    cfg.worker_count capped by SDDE_MEANSQ_THREADS, only decides whether
+    one helper thread makes the increments (budget 2 or more) or the
+    calling thread does (budget 1); it never changes the estimate.  The
+    chunks run one after another on the calling thread, and a budget
+    above 2 starts no further thread: the interpreter lock serializes the
+    many small operations of stepping, so only the bulk normal transform
+    gains from a second thread.
     Diverged paths, judged on sqrt(w) |X|, poison the estimate visibly
     (NaN/inf) and are counted.
     """
@@ -361,14 +404,14 @@ def simulate_mean_square(
     m_total = cfg.path_count
     bounds = [(lo, min(lo + CHUNK, m_total)) for lo in range(0, m_total, CHUNK)]
 
-    def job(b):
-        return _simulate_chunk(
-            f_mu, g_nu, phi.values, n_steps, cfg.step, cfg.master_seed, b[0], b[1], tilt
-        )
-
-    workers = min(_worker_count(cfg.worker_count), len(bounds))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(job, bounds))
+    budget = _thread_budget(cfg.worker_count)
+    with ThreadPoolExecutor(max_workers=1) if budget > 1 else nullcontext() as helper:
+        results = [
+            _simulate_chunk(
+                f_mu, g_nu, phi.values, n_steps, cfg.step, cfg.master_seed, lo, hi, tilt, helper
+            )
+            for lo, hi in bounds
+        ]
 
     total_sq = np.zeros(n_steps + 1)
     total_q4 = np.zeros(n_steps + 1)

@@ -152,8 +152,9 @@ def emit_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for lo in range(0, times.size, _CSV_ROWS):
-            rows = zip(*(col[lo : lo + _CSV_ROWS].tolist() for col in columns))
-            fh.write("".join(map(row.__mod__, rows)))
+            # one format call per slice, on the slice's values in row order
+            values = np.stack([col[lo : lo + _CSV_ROWS] for col in columns], axis=1)
+            fh.write(row * values.shape[0] % tuple(values.ravel().tolist()))
 
 
 def report_document(spec: ProblemSpec, report: StabilityReport) -> dict:
@@ -249,10 +250,16 @@ def run_pipeline(spec: ProblemSpec, commands: set[str], out_dir: str = ".") -> i
             mc = estimate.mean_sq
             se = estimate.stderr
             diff = mc - ren
-            with np.errstate(divide="ignore", invalid="ignore"):
-                z = np.where(
-                    se > 0.0, diff / se, np.where(diff == 0.0, 0.0, np.inf * np.sign(diff))
+            # a non-finite route is reported by emit_csv, column by column
+            undefined = np.flatnonzero((se == 0.0) & (diff != 0.0) & np.isfinite(diff))
+            if undefined.size:
+                raise NumericalError(
+                    "the Monte Carlo standard error is 0 at t = "
+                    f"{undefined[0] * spec.h:.6g} while the routes differ there, "
+                    "so z is undefined"
                 )
+            with np.errstate(divide="ignore", invalid="ignore"):
+                z = np.where(se > 0.0, diff / se, 0.0)
             emit_csv(
                 track("compare.csv"),
                 ["t", "meansq_renewal", "meansq_mc", "mc_stderr", "z"],

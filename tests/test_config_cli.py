@@ -259,17 +259,23 @@ class TestCli:
 
     def test_infinite_z_exits_numerical_failure(self, tmp_path, capsys):
         # no noise: the Monte Carlo stderr is 0 while the two routes differ
-        # by discretization, so z is infinite from the first step on
+        # by discretization, so z is undefined from the first step on; no
+        # value overflowed, so no shorter horizon would help
         d = doc(
+            mu={"atoms": [[0, -1]]},
             nu={"atoms": [[0, 0]]},
             numerical={"h": 0.01, "T": 1, "mc": {"paths": 64, "seed": 3}},
         )
         cfg = _write(tmp_path, d)
         out = tmp_path / "out"
         assert cli_main(["compare", "--config", cfg, "--out", str(out)]) == 3
-        assert "compare.csv column z leaves the floating-point range at t = 0.01" in (
-            capsys.readouterr().err
-        )
+        err = capsys.readouterr().err
+        assert (
+            "the Monte Carlo standard error is 0 at t = 0.01 while the routes differ there, "
+            "so z is undefined"
+        ) in err
+        assert "shorten the horizon" not in err
+        assert not (out / "compare.csv").exists()
         assert list(out.iterdir()) == []
 
     def test_simulate_requires_mc_settings(self, tmp_path):

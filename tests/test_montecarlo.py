@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import sdde_meansq
+from sdde_meansq import montecarlo
 from sdde_meansq import (
     PhiSpec,
     SignedMeasure,
@@ -269,6 +271,74 @@ class TestSimulateMeanSquare:
         assert np.array_equal(est1.mean_sq, est2.mean_sq)
         assert np.array_equal(est1.stderr, est2.stderr)
         assert est1.max_path_share == est2.max_path_share
+
+    @pytest.mark.parametrize("mu, nu, x0, h, T, m", [
+        # two chunks, and a last block of 307 - 256 = 51 steps
+        (MU, NU, 1.0, 0.01, 3.07, 2100),
+        (MU_DENSITY, NU_DENSITY, 1.0, 0.01, 3.07, 2100),
+        # rescaled before the delay horizon, in both chunks
+        (SignedMeasure(1.0, atoms=((0.0, -20.0),)), SignedMeasure(1.0, atoms=((0.0, 5.0),)),
+         1e148, 1e-3, 1.0, 2100),
+    ])
+    def test_helper_thread_changes_no_bit(self, monkeypatch, mu, nu, x0, h, T, m):
+        monkeypatch.delenv("SDDE_MEANSQ_THREADS", raising=False)
+        base = dict(step=h, horizon=T, path_count=m, master_seed=13)
+        phi = phi_const(h, x0)
+        one = simulate_mean_square(mu, nu, phi, SimulationConfig(**base, worker_count=1))
+        two = simulate_mean_square(mu, nu, phi, SimulationConfig(**base, worker_count=2))
+        assert np.array_equal(one.mean_sq, two.mean_sq)
+        assert np.array_equal(one.stderr, two.stderr)
+        assert one.max_path_share == two.max_path_share
+        assert one.diverged_paths == two.diverged_paths == 0
+
+    @pytest.mark.parametrize("workers, cap, helpers", [(1, None, 0), (2, None, 1), (8, "4", 1)])
+    def test_helper_threads_end_with_the_call(self, monkeypatch, workers, cap, helpers):
+        # 600 steps are three blocks and CHUNK + 5 paths two chunks: six
+        # transforms, all on the one helper of a budget of two or more
+        if cap is None:
+            monkeypatch.delenv("SDDE_MEANSQ_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("SDDE_MEANSQ_THREADS", cap)
+        transform = montecarlo._increments_from_bits
+        ran_on = []
+
+        def recorded(*args):
+            ran_on.append(threading.current_thread())
+            return transform(*args)
+
+        monkeypatch.setattr(montecarlo, "_increments_from_bits", recorded)
+        before = set(threading.enumerate())
+        cfg = SimulationConfig(
+            step=0.01, horizon=6.0, path_count=CHUNK + 5, master_seed=2, worker_count=workers
+        )
+        simulate_mean_square(MU, NU, phi_const(0.01), cfg)
+        assert len(ran_on) == 2 * 3
+        others = {t for t in ran_on if t is not threading.current_thread()}
+        assert len(others) == helpers
+        assert not any(t.is_alive() for t in others)
+        assert set(threading.enumerate()) <= before
+
+    def test_helper_failure_propagates_and_ends_the_helper(self, monkeypatch):
+        monkeypatch.delenv("SDDE_MEANSQ_THREADS", raising=False)
+        transform = montecarlo._increments_from_bits
+        ran_on = []
+
+        def failing(*args):
+            ran_on.append(threading.current_thread())
+            if len(ran_on) == 3:
+                raise ValueError("transform failed")
+            return transform(*args)
+
+        monkeypatch.setattr(montecarlo, "_increments_from_bits", failing)
+        before = set(threading.enumerate())
+        cfg = SimulationConfig(
+            step=0.01, horizon=6.0, path_count=64, master_seed=2, worker_count=2
+        )
+        with pytest.raises(ValueError, match="transform failed"):
+            simulate_mean_square(MU, NU, phi_const(0.01), cfg)
+        assert ran_on[2] is not threading.current_thread()
+        assert not ran_on[2].is_alive()
+        assert set(threading.enumerate()) <= before
 
     def test_diverged_paths_reported_not_dropped(self):
         # drift +60 at step .01 multiplies each path by ~1.6 per step: overflow
