@@ -24,11 +24,14 @@ down by that power of two, and the weight undoes it.  A path is reported
 diverged when sqrt(w) |X| passes 1e150 or the chain leaves the float range.
 
 A chunk streams through its delay window: it keeps a ring of N + 1 + BLOCK
-path rows, draws BLOCK steps of increments at a time from its paths'
-substreams, and reduces each finished block at once into the per-time sums,
-so its memory does not grow with the horizon.  The increments of the next
-block are made while a block is stepped, so a chunk holds two blocks of
-increments and one of raw bits.
+path rows, steps BLOCK steps at a time, and reduces each finished block at
+once into the per-time sums, so its memory does not grow with the horizon.
+One increment feed per call serves the chunks their blocks in order.  It
+draws each block's bits two blocks ahead, across chunk boundaries, so the
+next block's increments are made while a block is stepped, and a chunk's
+first block is as ready as any other.  The feed holds two blocks of raw
+bits, which double as the chunk's weighted-rows buffer, and two of
+increments for the whole call.
 """
 
 import math
@@ -163,8 +166,9 @@ def _normal_increments(
 
     ``streams`` (from ``_path_streams``) carries the paths' counter streams
     from one call to the next: consecutive calls give the rows of one long
-    call.  A chunk calls the two halves, ``_raw_bits`` and
-    ``_increments_from_bits``, itself, so that they can run on two threads.
+    call.  The Monte Carlo feed, ``_increment_blocks``, calls the two
+    halves, ``_raw_bits`` and ``_increments_from_bits``, itself, so that
+    they can run on two threads and draw ahead of the transform.
     """
     if streams is None:
         streams = _path_streams(master_seed, lo, hi)
@@ -296,55 +300,101 @@ def _reduce(x, bad, sum_sq, sum_q4, scale, max_sq):
     np.square(sq, out=sq).sum(axis=1, out=sum_q4)
 
 
-def _simulate_chunk(f_mu, g_nu, phi_values, n_steps, h, master_seed, lo, hi, tilt, helper=None):
-    """Per-time sums of w X^2 over paths [lo, hi), streamed a block of steps at a time.
+def _increment_blocks(master_seed, bounds, n_steps, h, shift, helper):
+    """The increment blocks of the path chunks ``bounds``, in (chunk, block) order.
 
-    While block b is stepped, the executor ``helper`` (one thread, or None
-    to do everything on this thread) turns block b + 1's raw bits into
-    increments.  The raw bits are drawn here, between the two.
+    Yields, for each block of ``min(BLOCK, n_steps)`` steps of each chunk,
+    its (steps, paths) increments plus ``shift`` and a free (steps, paths)
+    buffer for the chunk to use until it asks for the next block.  Blocks
+    run through a pipeline that does not restart at a chunk boundary: while
+    block i is stepped, the executor ``helper`` (one thread, or None to do
+    everything on this thread) turns block i + 1's raw bits into
+    increments, and once block i is done its buffer takes block i + 2's
+    bits.  The streams are counter-based, so drawing ahead changes no bit.
+    Two raw-bit blocks and two increment blocks, one allocation, serve the
+    whole call; the chunk's streams are built when its first bits are drawn.
     """
-    n_hist = phi_values.size - 1
-    m = hi - lo
     block = min(BLOCK, n_steps)
-    size = n_hist + 1 + block
-    # the ring, two blocks of increments, one of weighted rows and one of
-    # raw bits share one allocation: one block that large is mapped on its
-    # own and handed back to the system when freed
-    buf = np.empty((size + 4 * block, m))
-    paths, work = buf[:size], buf[size : size + block]
-    dws = buf[size + block : size + 3 * block].reshape(2, block, m)
-    raw = buf[size + 3 * block :].view(np.uint64).reshape(m, block)
-    paths[: n_hist + 1] = phi_values[:, None]
-    sum_sq, sum_q4, max_sq = np.empty((3, n_steps + 1))
-    scale = np.empty(n_steps + 1, dtype=np.intc)
-    bad = np.zeros(m, dtype=bool)
-    streams = _path_streams(master_seed, lo, hi)
+    order = [
+        (lo, hi, s0, min(s0 + block, n_steps) - s0)
+        for lo, hi in bounds
+        for s0 in range(0, n_steps, block)
+    ]
+    # block i draws its bits into slot i % 2, which is the free buffer once
+    # they are transformed, and gets its increments in slot 2 + i % 2.  One
+    # allocation that large is mapped on its own and handed back when freed.
+    slots = np.empty((4, block * max(hi - lo for lo, hi in bounds)))
+    streams = None
 
-    def draw(s0):
-        """Block s0's bits, and a future of its increments; the bits are free once it is done."""
-        k = min(s0 + block, n_steps) - s0
-        args = (_raw_bits(streams, raw[:, :k]), h, tilt * h, dws[s0 // block % 2, :k])
+    def view(slot, i, dtype=np.float64):
+        """Slot ``slot`` as block i's (steps, paths) array."""
+        lo, hi, _, k = order[i]
+        return slots[slot, : k * (hi - lo)].view(dtype).reshape(k, hi - lo)
+
+    def raw(i):
+        """Block i's (paths, steps) raw bits."""
+        return view(i % 2, i, np.uint64).reshape(order[i][1] - order[i][0], -1)
+
+    def draw(i):
+        nonlocal streams
+        lo, hi, s0, _ = order[i]
+        if s0 == 0:
+            # the chunk before has drawn its last bits: free its streams first
+            streams = None
+            streams = _path_streams(master_seed, lo, hi)
+        _raw_bits(streams, raw(i))
+
+    def submit(i):
+        """A future of block i's increments; its raw bits are free once it is done."""
+        args = (raw(i), h, shift, view(2 + i % 2, i))
         if helper is not None:
             return helper.submit(_increments_from_bits, *args)
         done = Future()
         done.set_result(_increments_from_bits(*args))
         return done
 
+    draw(0)
+    pending = submit(0)
+    if len(order) > 1:
+        draw(1)
+    for i in range(len(order)):
+        inc = pending.result()
+        if i + 1 < len(order):
+            pending = submit(i + 1)
+        yield inc, view(i % 2, i)
+        if i + 2 < len(order):
+            draw(i + 2)
+
+
+def _simulate_chunk(f_mu, g_nu, phi_values, n_steps, h, master_seed, lo, hi, tilt, feed=None):
+    """Per-time sums of w X^2 over paths [lo, hi), streamed a block of steps at a time.
+
+    ``feed`` is an ``_increment_blocks`` positioned at this chunk's first
+    block; the chunk takes exactly its own blocks from it.  None builds a
+    feed of this chunk alone, on this thread.
+    """
+    if feed is None:
+        feed = _increment_blocks(master_seed, [(lo, hi)], n_steps, h, tilt * h, None)
+    n_hist = phi_values.size - 1
+    m = hi - lo
+    block = min(BLOCK, n_steps)
+    paths = np.empty((n_hist + 1 + block, m))
+    paths[: n_hist + 1] = phi_values[:, None]
+    sum_sq, sum_q4, max_sq = np.empty((3, n_steps + 1))
+    scale = np.empty(n_steps + 1, dtype=np.intc)
+    bad = np.zeros(m, dtype=bool)
     drift, noise = _WindowSums(f_mu, paths), _WindowSums(g_nu, paths)
     w_last = np.zeros(m)
     # rescales of each path in the blocks before, all of which cover later rows
     shifts = np.zeros(m, dtype=int)
     lift = 0.5 * RESCALE_BITS * math.log(2.0)
-    pending = draw(0)
     with np.errstate(over="ignore", invalid="ignore"):
         # t = 0 carries no weight and comes before every rescale
-        work[0] = paths[n_hist]
-        _reduce(work[:1], bad, sum_sq[:1], sum_q4[:1], scale[:1], max_sq[:1])
-        for s0 in range(0, n_steps, block):
+        _reduce(paths[n_hist : n_hist + 1].copy(), bad, sum_sq[:1], sum_q4[:1], scale[:1],
+                max_sq[:1])
+        # zip asks the feed for no block past this chunk's last
+        for s0, (inc, x) in zip(range(0, n_steps, block), feed):
             s1 = min(s0 + block, n_steps)
-            inc, x = pending.result(), work[: s1 - s0]
-            if s1 < n_steps:
-                pending = draw(s1)
             rescaled = _euler_maruyama(drift, noise, inc, h, n_hist, s0)
             # row by row: np.cumsum(axis=0) walks the columns, several times slower
             inc[0] += w_last
@@ -385,14 +435,15 @@ def simulate_mean_square(
     sample variance of the weighted squares.  With no atom at lag 0 the
     tilt is 0 and the estimate is the plain mean of X^2.
 
-    Deterministic given (problem, cfg.master_seed).  The thread budget,
+    Deterministic given (problem, cfg.master_seed).  The chunks run one
+    after another on the calling thread, all fed by one increment feed
+    whose pipeline runs on across chunk boundaries.  The thread budget,
     cfg.worker_count capped by SDDE_MEANSQ_THREADS, only decides whether
     one helper thread makes the increments (budget 2 or more) or the
-    calling thread does (budget 1); it never changes the estimate.  The
-    chunks run one after another on the calling thread, and a budget
-    above 2 starts no further thread: the interpreter lock serializes the
-    many small operations of stepping, so only the bulk normal transform
-    gains from a second thread.
+    calling thread does (budget 1); it never changes the estimate.  A
+    budget above 2 starts no further thread: the interpreter lock
+    serializes the many small operations of stepping, so only the bulk
+    normal transform gains from a second thread.
     Diverged paths, judged on sqrt(w) |X|, poison the estimate visibly
     (NaN/inf) and are counted.
     """
@@ -406,9 +457,12 @@ def simulate_mean_square(
 
     budget = _thread_budget(cfg.worker_count)
     with ThreadPoolExecutor(max_workers=1) if budget > 1 else nullcontext() as helper:
+        feed = _increment_blocks(
+            cfg.master_seed, bounds, n_steps, cfg.step, tilt * cfg.step, helper
+        )
         results = [
             _simulate_chunk(
-                f_mu, g_nu, phi.values, n_steps, cfg.step, cfg.master_seed, lo, hi, tilt, helper
+                f_mu, g_nu, phi.values, n_steps, cfg.step, cfg.master_seed, lo, hi, tilt, feed
             )
             for lo, hi in bounds
         ]

@@ -89,11 +89,19 @@ def solution_functional_trace(x: SolutionTable, nu: SignedMeasure) -> GridTrace:
 
 
 def classify(norm_sq: float, truncation_error: float, band: float | None = None) -> str:
-    """Trichotomy decision with a finite-precision band around mass 1."""
+    """Trichotomy decision with a finite-precision band around mass 1.
+
+    The default band covers three truncation errors.  A given band is kept
+    as it is, so a statistic past it by no more than three truncation errors
+    could lie on either side of it: that is UNCERTIFIED.
+    """
+    margin = 3.0 * truncation_error
     if band is None:
-        band = max(1e-3, 3.0 * truncation_error)
+        band, margin = max(1e-3, margin), 0.0
     if band <= 0.0:
         raise ConfigurationError(BAD_VALUE, f"band must be positive, got {band}")
+    if band < abs(norm_sq - 1.0) <= band + margin:
+        return UNCERTIFIED
     if norm_sq < 1.0 - band:
         return SUBCRITICAL
     if norm_sq > 1.0 + band:

@@ -234,6 +234,22 @@ class TestCli:
         assert report["classification"] == "UNCERTIFIED"
         assert report["truncation_error"] == math.inf
 
+    def test_given_band_does_not_hide_the_truncation_error(self, tmp_path):
+        # x' = -1.5 x(t - 1): the resolvent decays at rate 0.033, so T = 60
+        # misses 1.9 % of the statistic, whose true value is 1.010.  The band
+        # 0.001 leaves 0.9909 below it, but within three truncation errors.
+        d = doc(
+            mu={"atoms": [[-1, -1.5]]},
+            nu={"atoms": [[0, 0.32757]]},
+            numerical={"h": 0.01, "T": 60, "band": 0.001},
+        )
+        cfg = _write(tmp_path, d)
+        assert cli_main(["classify", "--config", cfg, "--out", str(tmp_path)]) == 2
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["classification"] == "UNCERTIFIED"
+        assert report["norm_sq_gr"] == pytest.approx(0.9909, abs=1e-4)
+        assert 1e-3 < 1.0 - report["norm_sq_gr"] <= 1e-3 + 3.0 * report["truncation_error"]
+
     def test_exit_code_numerical_failure(self, tmp_path, monkeypatch, capsys):
         import sdde_meansq.cli as cli_mod
 

@@ -25,6 +25,7 @@ from sdde_meansq import (
 )
 from sdde_meansq.measures import CompiledFunctional
 from sdde_meansq.montecarlo import (
+    BLOCK,
     CHUNK,
     DIVERGE_LIMIT,
     RESCALE_BITS,
@@ -279,6 +280,11 @@ class TestSimulateMeanSquare:
         # rescaled before the delay horizon, in both chunks
         (SignedMeasure(1.0, atoms=((0.0, -20.0),)), SignedMeasure(1.0, atoms=((0.0, 5.0),)),
          1e148, 1e-3, 1.0, 2100),
+        # three chunks, the last one partial, of one block each: the bits
+        # drawn two blocks ahead cross both chunk boundaries
+        (MU, NU_DENSITY_TILTED, 1.0, 0.01, 1.0, 2 * CHUNK + 37),
+        # one step, so one block of one row per chunk
+        (MU, NU, 1.0, 0.01, 0.01, 2 * CHUNK + 37),
     ])
     def test_helper_thread_changes_no_bit(self, monkeypatch, mu, nu, x0, h, T, m):
         monkeypatch.delenv("SDDE_MEANSQ_THREADS", raising=False)
@@ -317,6 +323,59 @@ class TestSimulateMeanSquare:
         assert len(others) == helpers
         assert not any(t.is_alive() for t in others)
         assert set(threading.enumerate()) <= before
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("T", [3.0, 1.0])
+    def test_transforms_run_in_chunk_then_block_order(self, monkeypatch, workers, T):
+        # 300 steps are two blocks per chunk and 100 steps one: each
+        # transform gets the bits its (chunk, block) draws from the streams
+        monkeypatch.delenv("SDDE_MEANSQ_THREADS", raising=False)
+        transform = montecarlo._increments_from_bits
+        seen = []
+
+        def recorded(raw, *args):
+            seen.append((raw.shape, raw[[0, -1], 0].copy()))
+            return transform(raw, *args)
+
+        monkeypatch.setattr(montecarlo, "_increments_from_bits", recorded)
+        h, m = 0.01, 2 * CHUNK + 37
+        cfg = SimulationConfig(step=h, horizon=T, path_count=m, master_seed=4, worker_count=workers)
+        simulate_mean_square(MU, NU, phi_const(h), cfg)
+        n_steps = round(T / h)
+        want = []
+        for lo in range(0, m, CHUNK):
+            hi = min(lo + CHUNK, m)
+            first, last = (
+                np.random.Philox(key=_path_key(4, i)).random_raw(n_steps) for i in (lo, hi - 1)
+            )
+            for s0 in range(0, n_steps, BLOCK):
+                k = min(s0 + BLOCK, n_steps) - s0
+                want.append(((hi - lo, k), np.array([first[s0], last[s0]])))
+        assert len(seen) == len(want)
+        for (shape, bits), (want_shape, want_bits) in zip(seen, want):
+            assert shape == want_shape
+            assert np.array_equal(bits, want_bits)
+
+    def test_shared_feed_gives_each_chunk_its_own_increments(self, monkeypatch):
+        # each chunk of a call, fed across chunk boundaries, against the same
+        # chunk fed alone
+        monkeypatch.delenv("SDDE_MEANSQ_THREADS", raising=False)
+        chunk = montecarlo._simulate_chunk
+        calls = []
+
+        def recorded(*args):
+            calls.append((args[:9], chunk(*args)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(montecarlo, "_simulate_chunk", recorded)
+        cfg = SimulationConfig(
+            step=0.01, horizon=3.0, path_count=2 * CHUNK + 37, master_seed=6, worker_count=2
+        )
+        simulate_mean_square(MU_DENSITY, NU_DENSITY_TILTED, phi_const(0.01), cfg)
+        assert len(calls) == 3
+        for args, fed in calls:
+            for got, want in zip(fed, chunk(*args)):
+                assert np.array_equal(got, want)
 
     def test_helper_failure_propagates_and_ends_the_helper(self, monkeypatch):
         monkeypatch.delenv("SDDE_MEANSQ_THREADS", raising=False)
@@ -537,6 +596,22 @@ class TestSimulateMeanSquare:
                 tracemalloc.stop()
 
         assert peak(20.0) <= 1.5 * peak(2.0)
+
+    def test_memory_is_one_ring_and_four_blocks(self):
+        # a 2-chunk call holds a chunk's ring of N + 1 + BLOCK rows and the
+        # feed's four blocks: two of raw bits, which double as the weighted
+        # rows, and two of increments.  A fifth block would add 11 %.
+        h, N = 1e-3, 1000
+        cfg = SimulationConfig(step=h, horizon=0.5, path_count=2 * CHUNK, master_seed=1)
+        simulate_mean_square(MU, NU, phi_const(h), cfg)
+        tracemalloc.start()
+        try:
+            simulate_mean_square(MU, NU, phi_const(h), cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        rows = (N + 1 + BLOCK) + 4 * BLOCK
+        assert 1.0 <= peak / (8 * CHUNK * rows) <= 1.05
 
     def test_path_count_floor(self):
         with pytest.raises(Exception):

@@ -12,6 +12,7 @@ from sdde_meansq import (
     DEGENERATE,
     SUBCRITICAL,
     SUPERCRITICAL,
+    UNCERTIFIED,
     GridTrace,
     NumericalError,
     SignedMeasure,
@@ -204,6 +205,15 @@ class TestClassify:
         assert classify(1.0005, 1e-9) == CRITICAL
         assert classify(1.002, 1e-9) == SUPERCRITICAL
         assert classify(1.002, 1e-3) == CRITICAL  # widened by 3x truncation
+
+    def test_given_band_is_uncertified_within_three_truncation_errors_of_its_edge(self):
+        assert classify(0.99, 0.01, 1e-3) == UNCERTIFIED
+        assert classify(1.01, 0.01, 1e-3) == UNCERTIFIED
+        assert classify(1.031, 0.01, 1e-3) == UNCERTIFIED
+        assert classify(1.0315, 0.01, 1e-3) == SUPERCRITICAL
+        assert classify(0.9685, 0.01, 1e-3) == SUBCRITICAL
+        # inside the band the label is CRITICAL whatever the truncation
+        assert classify(1.0005, 0.01, 1e-3) == CRITICAL
 
 
 class TestExponents:
