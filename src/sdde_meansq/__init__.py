@@ -47,6 +47,7 @@ from .stability import (
     UNCERTIFIED,
     StabilityReport,
     classify,
+    delayed_drift_norm_formula,
     detect_degenerate,
     example_norm_formula,
     g_of_r_trace,

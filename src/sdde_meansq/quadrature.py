@@ -10,6 +10,13 @@ convolution took 25-30 us direct and 3 ms by FFT; the FFT first wins near
 transform, so ``times_exp`` tilts data for range on that path.  Values that
 leave the float range come out of both as inf or NaN without a warning,
 and callers check them with ``require_finite``.
+
+A recurrence of reach at most ``_DIRECT`` (Heun on a drift whose only atom
+is at lag 0 has reach one) is homogeneous past its last input, so
+``solve_causal`` finishes it in long blocks, each its carry convolved with
+the impulse response: O(n * reach) past the input, with no transform.  The
+response grows to at most ``_TAIL`` points and stops before it leaves
+[2^-256, 2^256], where alone it would overflow or underflow.
 """
 
 import math
@@ -27,6 +34,10 @@ _FFT_BLOCK = 4096
 #: ``convolve`` sums directly when an input has at most this many points or
 #: the inputs have at most this many times _FFT_BLOCK products
 _DIRECT = 64
+#: longest impulse response of a homogeneous tail
+_TAIL = 8192
+#: a tail's impulse response stops growing where it leaves [1/_RANGE, _RANGE]
+_RANGE = 2.0**256
 _LOG_MAX = math.log(np.finfo(float).max)
 
 
@@ -137,6 +148,49 @@ def require_finite(values: np.ndarray, h: float, what: str) -> np.ndarray:
     return values
 
 
+def _carry(a: np.ndarray, v: np.ndarray, hi: int) -> np.ndarray:
+    """What v[hi - reach:hi] adds to the next reach points under the taps a."""
+    reach = a.size - 1
+    return convolve(v[hi - reach : hi], a, 2 * reach)[reach:]
+
+
+def _input_end(y: np.ndarray, start: int) -> int:
+    """One past the last nonzero of y[start:], scanned back _TAIL points at a time."""
+    hi = y.size
+    while hi > start:
+        lo = max(start, hi - _TAIL)
+        if y[lo:hi].any():
+            return lo + int(np.flatnonzero(y[lo:hi])[-1]) + 1
+        hi = lo
+    return start
+
+
+def _homogeneous_tail(a: np.ndarray, e: np.ndarray, y: np.ndarray, lo: int) -> np.ndarray:
+    """Finish ``solve_causal`` from y[lo:], where the only input left is the carry y[lo:lo + reach].
+
+    The recurrence is homogeneous there, so each block is its carry convolved
+    with the impulse response e, a direct product of width reach.  e doubles
+    first, each new half the convolution of e with the carry of e's own
+    tail, up to _TAIL points or the remaining length.  It stops before a
+    half whose largest |value| leaves [1/_RANGE, _RANGE]: a response that
+    overflows or underflows alone would turn a representable block into
+    inf or 0.
+    """
+    n, reach = y.size, a.size - 1
+    while e.size < min(_TAIL, n - lo):
+        more = convolve(_carry(a, e, e.size), e, e.size)
+        if not 1.0 / _RANGE <= np.abs(more).max() <= _RANGE:
+            break
+        e = np.concatenate((e, more))
+    while lo < n:
+        hi = min(lo + e.size, n)
+        y[lo:hi] = convolve(y[lo : lo + reach], e, hi - lo)
+        end = min(hi + reach, n)
+        y[hi:end] += _carry(a, y, hi)[: end - hi]
+        lo = hi
+    return y
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def solve_causal(a: np.ndarray, y: np.ndarray, start: int) -> np.ndarray:
     """Fill y[m] = f[m] + sum over 0 < k < len(a) of a[k] y[m-k] for m >= start, in place.
@@ -147,6 +201,14 @@ def solve_causal(a: np.ndarray, y: np.ndarray, start: int) -> np.ndarray:
     inverse Toeplitz matrix, whose first column is the impulse response of
     a; a finished left half of a dyadic range adds its history to the right
     half in one convolution, cut to the reach len(a) - 1.
+
+    A short recurrence (reach at most ``_DIRECT``) leaves the blocks once
+    they have passed the last nonzero of f and of the prefix's feed.  From
+    there it is homogeneous, and ``_homogeneous_tail`` solves it in blocks
+    of up to ``_TAIL`` points, each its carry convolved with the impulse
+    response: O(n * reach) past the input.  The response stops growing
+    before it leaves [2^-256, 2^256], so no block turns into inf or 0 where
+    the solution itself is representable.
     """
     n, reach = y.size, a.size - 1
     if start >= n or reach < 1:
@@ -159,6 +221,7 @@ def solve_causal(a: np.ndarray, y: np.ndarray, start: int) -> np.ndarray:
         taps = a[1 : i + 1]
         e[i] = taps @ e[i - 1 :: -1][: taps.size]
     inverse = np.tril(e[np.abs(np.subtract.outer(np.arange(_BASE), np.arange(_BASE)))])
+    last = _input_end(y, start) if reach <= _DIRECT else n
     # once block j is solved, the 2^i blocks ending with it (2^i the largest
     # power of two dividing j + 1) feed the next 2^i blocks
     for j in range(-(-(n - start) // _BASE)):
@@ -169,4 +232,6 @@ def solve_causal(a: np.ndarray, y: np.ndarray, start: int) -> np.ndarray:
         end, left = min(hi + half, hi + reach, n), max(hi - half, hi - reach)
         if hi < end:
             y[hi:end] += convolve(y[left:hi], a[: end - left], end - left)[hi - left :]
+        if last <= hi < n:
+            return _homogeneous_tail(a, e, y, hi)
     return y

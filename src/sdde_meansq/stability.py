@@ -244,6 +244,24 @@ def example_norm_formula(b: float, c: float, d: float, alpha: float) -> float:
     return (c * c + d * d + 2.0 * c * d * math.exp(b * alpha)) / (-2.0 * b)
 
 
+def delayed_drift_norm_formula(a: float, b: float) -> float:
+    """Closed-form integral of r(t)^2 over [0, inf) for drift a*x(t) + b*x(t-1).
+
+    Kuechler and Mensch (Stochastics Stochastics Rep. 40, 1992), with
+    lam = sqrt(|a^2 - b^2|); hyperbolic for |b| < |a|, trigonometric for
+    |b| > |a|.  The noise c*x(t) gives the statistic c^2 times this value.
+    Valid where the drift is stable, which needs a + b < 0.
+    """
+    if a + b >= 0.0:
+        raise ValueError(f"requires a + b < 0, got a={a}, b={b}")
+    lam = math.sqrt(abs(a * a - b * b))
+    if abs(b) < abs(a):
+        return (b * math.sinh(lam) - lam) / (2.0 * lam * (a + b * math.cosh(lam)))
+    if abs(b) > abs(a):
+        return (b * math.sin(lam) - lam) / (2.0 * lam * (a + b * math.cos(lam)))
+    return (b - 1.0) / (2.0 * (a + b))
+
+
 def solve_b0(c: float, d: float, alpha: float) -> float:
     """Largest real root of c^2 + d^2 + 2 c d e^(b alpha) + 2 b in b.
 

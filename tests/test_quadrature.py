@@ -3,9 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sdde_meansq.measures import CompiledFunctional, SignedMeasure
 from sdde_meansq.quadrature import (
-    _BASE, _DIRECT, _FFT_BLOCK, convolve, solve_causal, times_exp,
+    _BASE, _DIRECT, _FFT_BLOCK, _TAIL, convolve, solve_causal, times_exp,
 )
+from sdde_meansq.resolvent import _heun_recurrence
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -49,6 +51,46 @@ class TestSolveCausal:
         ref = reference_causal(a, y, start)
         out = solve_causal(a, y.copy(), start)
         assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from((_BASE - 1, _TAIL - 1, _TAIL, _TAIL + 1, 3 * _TAIL + 5)),
+        st.sampled_from((1, 2, _DIRECT - 1, _DIRECT, _DIRECT + 1)),
+        st.sampled_from(("feed", "boundary", "mid-block")),
+        st.integers(0, 2**32 - 1),
+        st.booleans(),
+    )
+    def test_forcing_that_stops_matches_direct_loop(self, n, reach, stop, seed, signed):
+        # past the last input a reach of at most _DIRECT is solved as a
+        # homogeneous tail; "feed" leaves only what the prefix feeds forward
+        rng = np.random.default_rng(seed)
+        a = rng.random(reach + 1)
+        if signed:
+            a -= 0.5
+        a *= 0.95 / np.abs(a[1:]).sum()
+        a[0] = rng.random()  # never read
+        y = rng.standard_normal(n) if signed else rng.random(n)
+        start = min(reach, n)
+        offset = {"feed": 0, "boundary": 2 * _BASE, "mid-block": 2 * _BASE + 37}[stop]
+        y[start + offset :] = 0.0
+        ref = reference_causal(a, y, start)
+        out = solve_causal(a, y.copy(), start)
+        assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("b, prefix", [(100.0, 1e-200), (-100.0, 1e300)])
+    def test_tail_keeps_every_normal_value(self, b, prefix):
+        # the chain grows or decays by e^(+-0.1) per step, so its impulse
+        # response alone leaves the float range within 8192 steps while the
+        # solution, scaled by the prefix, stays normal up to T = 10
+        h, N = 1e-3, 1000
+        a = _heun_recurrence(CompiledFunctional(SignedMeasure(1.0, atoms=((0.0, b),)), h))[0]
+        y = np.zeros(N + round(10.0 / h) + 1)
+        y[: N + 1] = prefix
+        ref = reference_causal(a, y, N + 1)
+        out = solve_causal(a, y.copy(), N + 1)
+        normal = np.abs(ref) >= np.finfo(float).tiny
+        assert normal.all()
+        assert np.abs(out / ref - 1.0).max() <= 1e-13
 
     def test_prefix_is_left_alone(self):
         y = np.arange(10.0)

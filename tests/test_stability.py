@@ -19,6 +19,7 @@ from sdde_meansq import (
     analyze,
     classify,
     compute_resolvent,
+    delayed_drift_norm_formula,
     detect_degenerate,
     example_norm_formula,
     g_of_r_trace,
@@ -168,6 +169,29 @@ class TestNormSq:
     def test_formula_domain(self):
         with pytest.raises(ValueError):
             example_norm_formula(0.0, 1.0, 1.0, 1.0)
+        with pytest.raises(ValueError):
+            delayed_drift_norm_formula(-1.0, 1.0)
+
+    @pytest.mark.parametrize("a", [-0.5, -2.0])
+    def test_delayed_drift_formula_without_delay(self, a):
+        assert delayed_drift_norm_formula(a, 0.0) == pytest.approx(
+            example_norm_formula(a, 1.0, 0.0, 1.0), rel=1e-12
+        )
+
+    @pytest.mark.parametrize("a, b", [(-2.0, 1.0), (-2.0, -1.0), (-3.0, 2.0), (-1.0, -1.5),
+                                      (-1.0, -1.0), (-1.0, 0.5)])
+    def test_delayed_drift_closed_form(self, a, b):
+        # the drift's atom at lag 1 gives the Heun trace a reach of N + 1; the
+        # error is second order, so it falls about 4x when h halves
+        exact = delayed_drift_norm_formula(a, b)
+        mu = SignedMeasure(1.0, atoms=((0.0, a), (-1.0, b)))
+        nu = SignedMeasure(1.0, atoms=((0.0, 1.0),))
+        coarse, fine = (
+            abs(l2_norm_sq_tail(g_of_r_trace(compute_resolvent(mu, h, 40.0), nu))[0] / exact - 1.0)
+            for h in (2e-3, 1e-3)
+        )
+        assert fine <= 2e-6
+        assert 3.5 <= coarse / fine <= 4.5
 
     @given(st.floats(-3.0, -0.2), st.floats(0.0, 2.0), st.floats(0.0, 2.0), st.floats(0.1, 2.0))
     def test_formula_symmetric_in_noise_weights(self, b, c, d, alpha):
