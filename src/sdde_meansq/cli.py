@@ -3,9 +3,10 @@
     sdde-meansq <classify|resolvent|meansquare|simulate|compare>
         --config FILE [--out DIR] [--seed N] [--paths M] [--step H] [--horizon T]
 
-Flags override the corresponding config fields.  The SDDE_MEANSQ_THREADS
-environment variable caps the simulation's thread budget.  Exit codes:
-0 success, 1 configuration error, 2 uncertified classification,
+Flags override the corresponding config fields; SDDE_MEANSQ_THREADS caps
+the simulation's thread budget.  One parser serves every call of a process.
+Exit codes: 0 success, 1 configuration error (a usage error, an unreadable
+config or an --out that is a file included), 2 uncertified classification,
 3 numerical failure.
 """
 
@@ -14,40 +15,38 @@ import sys
 from pathlib import Path
 
 from .config import parse_config, with_overrides
-from .errors import ConfigurationError, NumericalError
+from .errors import ConfigurationError, NumericalError, USAGE
 from .pipeline import COMMANDS, run_pipeline
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="sdde-meansq",
-        description="Mean-square asymptotics of scalar linear stochastic delay equations",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True, help="JSON problem file")
-        p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="Monte Carlo master seed")
-        p.add_argument("--paths", type=int, default=None, help="Monte Carlo path count")
-        p.add_argument("--step", type=float, default=None, help="grid step override")
-        p.add_argument("--horizon", type=float, default=None, help="horizon override")
-    return parser
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # exit code 2 belongs to an uncertified classification
+        raise ConfigurationError(USAGE, f"{message} (see sdde-meansq --help)")
+
+
+_PARSER = _Parser("sdde-meansq", description="Mean-square asymptotics of scalar linear "
+                  "stochastic delay equations")
+_PARSER.add_argument("command", choices=COMMANDS, metavar="<command>", help=" | ".join(COMMANDS))
+_PARSER.add_argument("--config", required=True, help="JSON problem file")
+_PARSER.add_argument("--out", default=".", help="output directory")
+_PARSER.add_argument("--seed", type=int, help="Monte Carlo master seed")
+_PARSER.add_argument("--paths", type=int, help="Monte Carlo path count")
+_PARSER.add_argument("--step", type=float, help="grid step override")
+_PARSER.add_argument("--horizon", type=float, help="horizon override")
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        text = Path(args.config).read_text()
+        args = _PARSER.parse_args(argv)
+        spec = with_overrides(
+            parse_config(Path(args.config).read_text()),
+            seed=args.seed, paths=args.paths, step=args.step, horizon=args.horizon,
+        )
+        return run_pipeline(spec, {args.command}, args.out)
     except OSError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    try:
-        spec = parse_config(text)
-        spec = with_overrides(
-            spec, seed=args.seed, paths=args.paths, step=args.step, horizon=args.horizon
-        )
-        return run_pipeline(spec, {args.command}, args.out)
     except ConfigurationError as exc:
         print(f"config error [{exc.code}]: {exc}", file=sys.stderr)
         return 1

@@ -41,3 +41,4 @@ ATOM_OFF_GRID = "ATOM_OFF_GRID"
 PHI_SAMPLES_MISMATCH = "PHI_SAMPLES_MISMATCH"
 STEP_TOO_LARGE = "STEP_TOO_LARGE"
 BAD_VALUE = "BAD_VALUE"
+USAGE = "USAGE"

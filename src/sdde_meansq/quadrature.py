@@ -17,6 +17,13 @@ is at lag 0 has reach one) is homogeneous past its last input, so
 the impulse response: O(n * reach) past the input, with no transform.  The
 response grows to at most ``_TAIL`` points and stops before it leaves
 [2^-256, 2^256], where alone it would overflow or underflow.
+
+The solver's 128-point block response is built without a loop per entry
+for such a recurrence: a running product for one tap (bit for bit the
+entry-by-entry sum), and otherwise by the same doubling from e = [1].  Only
+a longer recurrence (a delayed drift past ``_DIRECT`` steps, the renewal
+solve) sums it entry by entry.  The block inverse gathers the response
+through one lag index built at import.
 """
 
 import math
@@ -39,6 +46,10 @@ _TAIL = 8192
 #: a tail's impulse response stops growing where it leaves [1/_RANGE, _RANGE]
 _RANGE = 2.0**256
 _LOG_MAX = math.log(np.finfo(float).max)
+#: entry (i, j) of a block's inverse Toeplitz matrix is e[i - j] on and below
+#: the diagonal, and e[_BASE] = 0 above it
+_LAGS = np.subtract.outer(np.arange(_BASE), np.arange(_BASE))
+_LAGS[_LAGS < 0] = _BASE
 
 
 def exact_divisions(span: float, h: float, what: str = "span") -> int:
@@ -134,6 +145,9 @@ def times_exp(v: np.ndarray, e: np.ndarray) -> np.ndarray:
     """
     far = np.abs(e) > _LOG_MAX
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        if not far.any():
+            # the plain product, as the second branch below gives it
+            return v * np.exp(e)
         return np.where(far, np.exp(np.log(v) + e), v * np.exp(np.where(far, 0.0, e)))
 
 
@@ -149,9 +163,37 @@ def require_finite(values: np.ndarray, h: float, what: str) -> np.ndarray:
 
 
 def _carry(a: np.ndarray, v: np.ndarray, hi: int) -> np.ndarray:
-    """What v[hi - reach:hi] adds to the next reach points under the taps a."""
+    """What v[hi - reach:hi] adds to the next reach points under the taps a; v is 0 before 0."""
+    w = v[max(0, hi - a.size + 1) : hi]
+    return convolve(w, a, w.size + a.size - 1)[w.size :]
+
+
+def _next_half(a: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """The next e.size points of the impulse response e of a: e's carry convolved with e."""
+    return convolve(_carry(a, e, e.size), e, e.size)
+
+
+def _block_response(a: np.ndarray) -> np.ndarray:
+    """The first _BASE points of the impulse response of a: e[0] = 1, e[m] = sum a[k] e[m-k].
+
+    One tap is a running product.  Up to ``_DIRECT`` taps the response
+    doubles from e = [1] by ``_next_half``; longer ones are summed entry by
+    entry.
+    """
     reach = a.size - 1
-    return convolve(v[hi - reach : hi], a, 2 * reach)[reach:]
+    if reach == 1:
+        return np.multiply.accumulate(np.concatenate(([1.0], np.full(_BASE - 1, a[1]))))
+    if reach <= _DIRECT:
+        e = np.ones(1)
+        while e.size < _BASE:
+            e = np.concatenate((e, _next_half(a, e)))
+        return e
+    e = np.zeros(_BASE)
+    e[0] = 1.0
+    for i in range(1, _BASE):
+        taps = a[1 : i + 1]
+        e[i] = taps @ e[i - 1 :: -1][: taps.size]
+    return e
 
 
 def _input_end(y: np.ndarray, start: int) -> int:
@@ -178,7 +220,7 @@ def _homogeneous_tail(a: np.ndarray, e: np.ndarray, y: np.ndarray, lo: int) -> n
     """
     n, reach = y.size, a.size - 1
     while e.size < min(_TAIL, n - lo):
-        more = convolve(_carry(a, e, e.size), e, e.size)
+        more = _next_half(a, e)
         if not 1.0 / _RANGE <= np.abs(more).max() <= _RANGE:
             break
         e = np.concatenate((e, more))
@@ -215,12 +257,8 @@ def solve_causal(a: np.ndarray, y: np.ndarray, start: int) -> np.ndarray:
         return y
     end, left = min(n, start + reach), max(0, start - reach)
     y[start:end] += convolve(y[left:start], a[: end - left], end - left)[start - left :]
-    e = np.zeros(_BASE)
-    e[0] = 1.0
-    for i in range(1, _BASE):
-        taps = a[1 : i + 1]
-        e[i] = taps @ e[i - 1 :: -1][: taps.size]
-    inverse = np.tril(e[np.abs(np.subtract.outer(np.arange(_BASE), np.arange(_BASE)))])
+    e = _block_response(a)
+    inverse = np.append(e, 0.0)[_LAGS]
     last = _input_end(y, start) if reach <= _DIRECT else n
     # once block j is solved, the 2^i blocks ending with it (2^i the largest
     # power of two dividing j + 1) feed the next 2^i blocks

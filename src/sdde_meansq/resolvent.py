@@ -41,7 +41,9 @@ class GridTrace:
             raise ConfigurationError(BAD_VALUE, "trace needs a 1-d, nonempty value array")
 
     def times(self) -> np.ndarray:
-        return self.step * np.arange(self.values.size)
+        t = np.arange(self.values.size, dtype=float)
+        t *= self.step
+        return t
 
     def __len__(self) -> int:
         return self.values.size
@@ -145,26 +147,29 @@ def _envelope_fit(trace: GridTrace):
     v = np.abs(trace.values)
     if v.size < 8:
         raise ConfigurationError(BAD_VALUE, "decay estimate needs at least 8 grid points")
-    t = trace.times()
     n = int(np.flatnonzero(v >= np.finfo(float).tiny).max(initial=-1)) + 1
     w0 = 3 * max(n - 1, 0) // 4
-    suffix = np.maximum.accumulate(v[::-1])[::-1]
+    # the fit window's times, and its running maxima from the right
+    t = trace.step * np.arange(w0, n, dtype=float)
+    suffix = np.maximum.accumulate(v[w0:][::-1])[::-1][: n - w0]
 
     def logslope(env):
-        tw, ew = t[w0:n], env[w0:n]
-        mask = ew > 0.0
-        if mask.sum() < 2:
+        """Least-squares line through (t, log env) where env > 0, in closed form."""
+        mask = env > 0.0
+        if np.count_nonzero(mask) < 2:
             return None, 0.0
-        slope, intercept = np.polyfit(tw[mask], np.log(ew[mask]), 1)
-        return float(slope), float(math.exp(intercept + slope * t[-1]))
+        tw, lw = t[mask], np.log(env[mask])
+        t_mean, l_mean = tw.mean(), lw.mean()
+        tw -= t_mean
+        slope = float(tw @ (lw - l_mean) / (tw @ tw))
+        return slope, math.exp(l_mean + slope * (trace.step * (v.size - 1) - t_mean))
 
     slope, env_T = logslope(suffix)
     if slope is None:
         return math.inf, 0.0
     if slope < -_FLAT_SLOPE:
         return -slope, env_T
-    prefix = np.maximum.accumulate(v)
-    gslope, genv_T = logslope(prefix)
+    gslope, genv_T = logslope(np.maximum.accumulate(v[:n])[w0:])
     if gslope is not None and gslope > _FLAT_SLOPE:
         return -gslope, genv_T
     return 0.0, env_T

@@ -141,11 +141,15 @@ def malthusian_rate(g: GridTrace) -> float:
     with np.errstate(divide="ignore"):
         log_v = np.log(v)
     sigma = float(np.max((log_v[k] + math.log(h / 3.0)) / s[k]))
+    # every step writes its exponent, then weight, into w and s * w into sw
+    w, sw = np.empty_like(v), np.empty_like(v)
     for _ in range(_MAX_ITER):
-        e = log_v - sigma * s
-        top = e.max()
-        w = np.exp(e - top)
-        mass, moment = corrected_trapezoid(w, h), corrected_trapezoid(s * w, h)
+        np.subtract(log_v, np.multiply(sigma, s, out=w), out=w)
+        top = w.max()
+        w -= top
+        np.exp(w, out=w)
+        np.multiply(s, w, out=sw)
+        mass, moment = corrected_trapezoid(w, h), corrected_trapezoid(sw, h)
         step = (top + math.log(mass)) * mass / moment
         sigma += step
         # every exact step is positive; a smaller one is round-off

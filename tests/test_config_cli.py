@@ -294,6 +294,49 @@ class TestCli:
         assert not (out / "compare.csv").exists()
         assert list(out.iterdir()) == []
 
+    def test_flags_do_not_leak_into_the_next_call(self, tmp_path):
+        # one parser serves every call of the process
+        d = doc(numerical={"h": 0.01, "T": 1, "mc": {"paths": 64, "seed": 5, "workers": 1}})
+        cfg = _write(tmp_path, d)
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        argv = ["simulate", "--config", cfg, "--out"]
+        assert cli_main(argv + [str(out1), "--seed", "9", "--paths", "32"]) == 0
+        assert cli_main(argv + [str(out2)]) == 0
+        first = json.loads((out1 / "meansq_mc_meta.json").read_text())
+        second = json.loads((out2 / "meansq_mc_meta.json").read_text())
+        assert (first["seed"], first["paths"]) == (9, 32)
+        assert (second["seed"], second["paths"]) == (5, 64)
+
+    @pytest.mark.parametrize("argv", [
+        ["frobnicate", "--config", "{cfg}"],
+        ["classify"],
+        ["classify", "--config", "{cfg}", "--paths", "ten"],
+        ["classify", "--config", "{cfg}", "--colour"],
+        [],
+    ], ids=["unknown-command", "missing-config", "bad-int", "unknown-flag", "empty"])
+    def test_usage_error_is_a_configuration_error(self, tmp_path, capsys, argv):
+        # exit code 2 is kept for an uncertified classification
+        cfg = _write(tmp_path, GBM)
+        assert cli_main([a.format(cfg=cfg) for a in argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error [USAGE]: ")
+        assert err.count("\n") == 1
+
+    def test_out_naming_a_file_is_a_configuration_error(self, tmp_path, capsys):
+        cfg = _write(tmp_path, GBM)
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert cli_main(["classify", "--config", cfg, "--out", str(taken)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert taken.read_text() == ""
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["--help"])
+        assert exc.value.code == 0
+        assert "<command>" in capsys.readouterr().out
+
     def test_simulate_requires_mc_settings(self, tmp_path):
         cfg = _write(tmp_path, doc(numerical={"h": 0.01, "T": 1}))
         assert cli_main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 1

@@ -33,6 +33,7 @@ from sdde_meansq.montecarlo import (
     _normal_increments,
     _path_key,
     _path_streams,
+    _rekey,
     _simulate_chunk,
     _WindowSums,
 )
@@ -216,6 +217,16 @@ class TestIncrements:
         blocks = [_normal_increments(seed, lo, hi, k, h, streams=streams) for k in lengths]
         assert np.array_equal(np.concatenate(blocks), reference)
         assert np.array_equal(_normal_increments(seed, lo, hi, n, h), reference)
+
+    @pytest.mark.parametrize("seed", [0, 3, 2**64 + 5])
+    def test_rekeyed_streams_are_fresh_streams(self, seed):
+        # streams part-way through other paths' draws, re-keyed to paths 2048..
+        streams = _path_streams(seed, 0, 5)
+        for bits in streams:
+            bits.random_raw(7)
+        rekeyed = [b.random_raw(300) for b in _rekey(streams[:3], seed, 2048)]
+        fresh = [b.random_raw(300) for b in _path_streams(seed, 2048, 2051)]
+        assert np.array_equal(rekeyed, fresh)
 
     def test_distinct_paths_and_seeds(self):
         a = _normal_increments(1, 0, 2, 100, 0.01)

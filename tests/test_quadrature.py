@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from sdde_meansq.measures import CompiledFunctional, SignedMeasure
 from sdde_meansq.quadrature import (
-    _BASE, _DIRECT, _FFT_BLOCK, _TAIL, convolve, solve_causal, times_exp,
+    _BASE, _DIRECT, _FFT_BLOCK, _TAIL, _block_response, convolve, solve_causal, times_exp,
 )
 from sdde_meansq.resolvent import _heun_recurrence
 
@@ -19,6 +19,16 @@ def reference_causal(a, y, start):
         k = np.arange(1, min(a.size, m + 1))
         y[m] += float(np.dot(a[k], y[m - k]))
     return y
+
+
+def reference_response(a):
+    """The block's impulse response entry by entry, as solve_causal once built it."""
+    e = np.zeros(_BASE)
+    e[0] = 1.0
+    for i in range(1, _BASE):
+        taps = a[1 : i + 1]
+        e[i] = taps @ e[i - 1 :: -1][: taps.size]
+    return e
 
 
 #: grid sizes on both sides of the solver block and of the FFT block sizes
@@ -91,6 +101,25 @@ class TestSolveCausal:
         normal = np.abs(ref) >= np.finfo(float).tiny
         assert normal.all()
         assert np.abs(out / ref - 1.0).max() <= 1e-13
+
+    @pytest.mark.parametrize("b", [-100.0, -1.0, 0.0, 1.0, 100.0])
+    @pytest.mark.parametrize("h", [1e-4, 1e-3, 1e-2])
+    def test_one_tap_response_is_the_loop_bit_for_bit(self, b, h):
+        a = _heun_recurrence(CompiledFunctional(SignedMeasure(1.0, atoms=((0.0, b),)), h))[0]
+        assert a.size == 2
+        assert np.array_equal(_block_response(a), reference_response(a))
+
+    @pytest.mark.parametrize("reach", [2, 3, 17, _DIRECT - 1, _DIRECT])
+    @pytest.mark.parametrize("signed", [False, True])
+    def test_short_response_matches_the_loop(self, reach, signed):
+        rng = np.random.default_rng(reach)
+        for _ in range(50):
+            a = rng.random(reach + 1)
+            if signed:
+                a -= 0.5
+            a *= 0.95 / np.abs(a[1:]).sum()
+            ref = reference_response(a)
+            assert np.abs(_block_response(a) - ref).max() <= 1e-15 * np.abs(ref).max()
 
     def test_prefix_is_left_alone(self):
         y = np.arange(10.0)

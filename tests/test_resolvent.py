@@ -18,6 +18,7 @@ from sdde_meansq import (
 )
 from sdde_meansq.measures import CompiledFunctional
 from sdde_meansq.quadrature import trapezoid
+from sdde_meansq.resolvent import _envelope_fit
 
 
 def const_phi(alpha, h, value=1.0):
@@ -299,3 +300,48 @@ class TestL2AndDecay:
     def test_requires_eight_points(self):
         with pytest.raises(ConfigurationError):
             decay_rate_estimate(GridTrace(0.1, np.ones(5)))
+
+    @pytest.mark.parametrize("h", [1e-3, 0.1, 1.0 / 3.0, 7e-5])
+    @pytest.mark.parametrize("n", [1, 2, 20001, 189001])
+    def test_times_are_the_scaled_integer_grid(self, h, n):
+        assert np.array_equal(GridTrace(h, np.zeros(n)).times(), h * np.arange(n))
+
+    @pytest.mark.parametrize("name", ["decay", "oscillatory", "growth", "flat", "subnormal",
+                                      "resolvent"])
+    def test_closed_form_fit_is_polyfit(self, name):
+        # the fit by np.polyfit, on the window and envelopes of _envelope_fit
+        def reference(trace):
+            v, t = np.abs(trace.values), trace.times()
+            n = int(np.flatnonzero(v >= np.finfo(float).tiny).max(initial=-1)) + 1
+            w0 = 3 * max(n - 1, 0) // 4
+
+            def logslope(env):
+                tw, ew = t[w0:n], env[w0:n]
+                mask = ew > 0.0
+                slope, intercept = np.polyfit(tw[mask], np.log(ew[mask]), 1)
+                return slope, math.exp(intercept + slope * t[-1])
+
+            slope, env_T = logslope(np.maximum.accumulate(v[::-1])[::-1])
+            if slope < -1e-12:
+                return -slope, env_T
+            gslope, genv_T = logslope(np.maximum.accumulate(v))
+            return (-gslope, genv_T) if gslope > 1e-12 else (0.0, env_T)
+
+        t = np.arange(4001) * 0.01
+        values = {
+            "decay": np.exp(-t),
+            "oscillatory": np.exp(-0.3 * t) * np.cos(7.0 * t),
+            "growth": np.exp(0.5 * t) * (2.0 + np.sin(t)),
+            "flat": 1.0 + 0.0 * t,
+            "subnormal": np.exp(-20.0 * t),
+            "resolvent": None,
+        }[name]
+        if values is None:
+            mu = SignedMeasure(1.0, atoms=((0.0, -1.0), (-1.0, -0.5)))
+            trace = compute_resolvent(mu, 0.01, 40.0).trace
+        else:
+            trace = GridTrace(0.01, values)
+        rate, env_T = _envelope_fit(trace)
+        ref_rate, ref_env = reference(trace)
+        assert rate == pytest.approx(ref_rate, rel=1e-12, abs=1e-15)
+        assert env_T == pytest.approx(ref_env, rel=1e-12)

@@ -301,6 +301,37 @@ class TestExponents:
         rate = rep.kappa if rep.classification == SUPERCRITICAL else -rep.theta
         assert tilts == [rate]
 
+    @pytest.mark.parametrize("b, nu", [
+        # the classify-sweep families: two atoms across the boundary, gbm
+        # below, at and above it, the README density and a degenerate pair
+        *[(b, {"atoms": [[0, 1.0], [-1, 1.0]]})
+          for b in (-1.68, -1.53, -1.4, -1.32, -1.24, -1.16, -1.03, -0.88)],
+        *[(-1.0, {"atoms": [[0, c]]}) for c in (1.0, 2.0 ** 0.5, 2.0)],
+        (-1.0, README_DOC["nu"]),
+        (-1.0, {"atoms": [[0, -E], [-1, 1.0]]}),
+    ])
+    def test_root_is_the_allocating_newton_root(self, b, nu):
+        # the reference: the same Newton loop with a fresh array per operation
+        def reference(g):
+            v, h, s = g.values, g.step, g.step * np.arange(g.values.size)
+            k = np.flatnonzero(v[1:] > 0.0) + 1
+            with np.errstate(divide="ignore"):
+                log_v = np.log(v)
+            sigma = float(np.max((log_v[k] + math.log(h / 3.0)) / s[k]))
+            while True:
+                e = log_v - sigma * s
+                top = e.max()
+                w = np.exp(e - top)
+                mass, moment = corrected_trapezoid(w, h), corrected_trapezoid(s * w, h)
+                step = (top + math.log(mass)) * mass / moment
+                sigma += step
+                if step <= 1e-12 * max(1.0, abs(sigma)):
+                    return sigma
+
+        doc = dict(README_DOC, mu={"atoms": [[0, b]]}, nu=nu)
+        kernel = analyze(parse_config(json.dumps(doc))).kernel
+        assert malthusian_rate(kernel) == reference(kernel)
+
     @pytest.mark.parametrize("offset", [-1e-9, 1e-9, -1e-6, 1e-6])
     def test_theta_cap_agrees_with_the_tilted_mass(self, offset):
         # the root sits just past (offset > 0) or just inside the cap
