@@ -76,6 +76,14 @@ class McSettings:
     seed: int = 0
     workers: int = 1
 
+    def __post_init__(self):
+        # a path's stream key holds the seed in 64 bits; any other seed would
+        # give the draws of the seed it wraps to
+        if not 0 <= self.seed < 2**64:
+            raise ConfigurationError(
+                BAD_VALUE, f"must lie in [0, 2**64), got {self.seed}", field="numerical.mc.seed"
+            )
+
 
 @dataclass(frozen=True)
 class ProblemSpec:

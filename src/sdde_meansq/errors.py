@@ -25,10 +25,6 @@ class AtomAlignmentError(ConfigurationError):
         super().__init__("ATOM_OFF_GRID", message, field)
 
 
-class GridRangeError(ToolError):
-    """A time query is off the grid or outside the computed horizon."""
-
-
 class NumericalError(ToolError):
     """A solver failed: negative second moment, bracket failure, bad kernel moment."""
 

@@ -11,13 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ALPHA_MISMATCH,
-    BAD_VALUE,
-    AtomAlignmentError,
-    ConfigurationError,
-)
-from .quadrature import DIV_RTOL, convolve, exact_divisions, require_match
+from .errors import BAD_VALUE, AtomAlignmentError, ConfigurationError
+from .quadrature import DIV_RTOL, convolve, exact_divisions
 
 #: atoms must hit a grid node within this fraction of the step
 ATOM_RTOL = 1e-9
@@ -61,35 +56,6 @@ class SignedMeasure:
         if any(b <= a for a, b in zip(dlocs, dlocs[1:])):
             raise ConfigurationError(BAD_VALUE, "density knots must be strictly increasing")
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.atoms and all(v == 0.0 for _, v in self.density)
-
-    def scaled(self, factor: float) -> "SignedMeasure":
-        return SignedMeasure(
-            self.alpha,
-            tuple((l, factor * w) for l, w in self.atoms),
-            tuple((l, factor * v) for l, v in self.density),
-        )
-
-    def __add__(self, other: "SignedMeasure") -> "SignedMeasure":
-        require_match(
-            self.alpha, other.alpha, ALPHA_MISMATCH, "cannot add measures with different alpha"
-        )
-        weights: dict[float, float] = {}
-        for l, w in self.atoms + other.atoms:
-            weights[l] = weights.get(l, 0.0) + w
-        atoms = tuple(sorted(weights.items()))
-        if not self.density:
-            dens = other.density
-        elif not other.density:
-            dens = self.density
-        else:
-            knots = sorted({l for l, _ in self.density} | {l for l, _ in other.density})
-            dens = tuple((u, _density_at(self.density, u) + _density_at(other.density, u))
-                         for u in knots)
-        return SignedMeasure(self.alpha, atoms, dens)
-
 
 def _affine_runs(u: np.ndarray, locs: np.ndarray, rho: np.ndarray, h: float) -> tuple:
     """The grid offsets in each knot interval as (j0, L, c0, c1), weight c0 + c1 k at j0 + k.
@@ -114,12 +80,6 @@ def _affine_runs(u: np.ndarray, locs: np.ndarray, rho: np.ndarray, h: float) -> 
         if c0 != 0.0 or c1 != 0.0:
             runs.append((j0, L, float(c0), float(c1)))
     return tuple(runs)
-
-
-def _density_at(knots: tuple, u: float) -> float:
-    locs = np.array([l for l, _ in knots])
-    vals = np.array([v for _, v in knots])
-    return float(np.interp(u, locs, vals, left=0.0, right=0.0))
 
 
 @dataclass(eq=False)
@@ -147,10 +107,11 @@ class Segment:
 class CompiledFunctional:
     """A measure bound to a fixed segment grid for repeated evaluation.
 
-    Point masses become (offset, weight) pairs into the segment; the density
-    is resampled onto the grid and folded with trapezoidal weights.  The
-    evaluators take a zero-padded or history-padded trace array ``padded``
-    in which the segment of step ``n`` is ``padded[n : n + N + 1]``.
+    Point masses become ``atom_at``, weight by segment offset in the order
+    of the measure's atoms; the density is resampled onto the grid and
+    folded with trapezoidal weights.  The evaluators take a zero-padded or
+    history-padded trace array ``padded`` in which the segment of step
+    ``n`` is ``padded[n : n + N + 1]``.
 
     ``jump_loss[j]`` is the density weight that offset ``j`` loses when the
     underlying function jumps from zero to its stored value at that node:
@@ -170,7 +131,6 @@ class CompiledFunctional:
         self.h = h
         self.n_intervals = exact_divisions(measure.alpha, h, "alpha")
         N = self.n_intervals
-        atom_items = []
         atom_at: dict[int, float] = {}
         for loc, w in measure.atoms:
             off = round((loc + measure.alpha) / h)
@@ -178,14 +138,12 @@ class CompiledFunctional:
                 raise AtomAlignmentError(
                     f"atom at {loc} is off the grid (step {h}) beyond tolerance"
                 )
-            atom_items.append((off, w))
             atom_at[off] = atom_at.get(off, 0.0) + w
-        self.atom_items = tuple(atom_items)
         self.atom_at = atom_at
         self.dens_weights = None
         self.jump_loss = None
         self.runs = ()
-        self.point_items = self.atom_items
+        self.point_items = tuple(atom_at.items())
         if measure.density and N >= 1:
             u = -measure.alpha + h * np.arange(N + 1)
             locs = np.array([l for l, _ in measure.density])
@@ -211,7 +169,7 @@ class CompiledFunctional:
     def value(self, padded: np.ndarray, n: int) -> float:
         """Plain evaluation on the segment at step ``n``."""
         acc = 0.0
-        for off, w in self.atom_items:
+        for off, w in self.atom_at.items():
             acc += w * padded[n + off]
         if self.dens_weights is not None:
             acc += float(np.dot(self.dens_weights, padded[n : n + self.n_intervals + 1]))
@@ -220,7 +178,7 @@ class CompiledFunctional:
     def value_vec(self, padded: np.ndarray, n: int) -> np.ndarray:
         """Evaluation on a (time, paths) array; the dense reference for the Monte Carlo sums."""
         acc = np.zeros(padded.shape[1])
-        for off, w in self.atom_items:
+        for off, w in self.atom_at.items():
             acc += w * padded[n + off]
         if self.dens_weights is not None:
             acc += self.dens_weights @ padded[n : n + self.n_intervals + 1]
@@ -250,21 +208,11 @@ class CompiledFunctional:
         N = self.n_intervals
         out_len = padded.size - N
         out = np.zeros(out_len)
-        for off, w in self.atom_items:
+        for off, w in self.atom_at.items():
             out += w * padded[off : off + out_len]
         if self.dens_weights is not None:
             out += convolve(self.dens_weights[::-1], padded, padded.size)[N:]
         return out
-
-
-def apply_functional(m: SignedMeasure, s: Segment) -> float:
-    """Integrate the segment against the measure.
-
-    Exact for atom-only measures on grid points; second-order accurate in
-    the step for the density part.
-    """
-    require_match(m.alpha, s.alpha, ALPHA_MISMATCH, "measure alpha != segment alpha")
-    return CompiledFunctional(m, s.step).value(s.values, 0)
 
 
 def total_variation(m: SignedMeasure) -> float:

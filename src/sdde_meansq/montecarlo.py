@@ -45,12 +45,7 @@ import numpy as np
 from .errors import ConfigurationError, BAD_VALUE, GRID_MISALIGNED
 from .measures import CompiledFunctional, Segment, SignedMeasure
 from .quadrature import convolve, exact_divisions, require_match
-from .resolvent import (
-    ResolventTable,
-    SolutionTable,
-    compute_resolvent,
-    deterministic_solution,
-)
+from .resolvent import ResolventTable, SolutionTable
 
 #: paths per work unit; fixed so reductions are scheduling-independent
 CHUNK = 2048
@@ -173,19 +168,14 @@ def _increments_from_bits(raw: np.ndarray, h: float, shift: float, out: np.ndarr
     return out
 
 
-def _normal_increments(
-    master_seed: int, lo: int, hi: int, n_steps: int, h: float, streams: list | None = None
-) -> np.ndarray:
+def _normal_increments(master_seed: int, lo: int, hi: int, n_steps: int, h: float) -> np.ndarray:
     """Increments for paths [lo, hi) as an (n_steps, paths) array.
 
-    ``streams`` (from ``_path_streams``) carries the paths' counter streams
-    from one call to the next: consecutive calls give the rows of one long
-    call.  The Monte Carlo feed, ``_increment_blocks``, calls the two
-    halves, ``_raw_bits`` and ``_increments_from_bits``, itself, so that
-    they can run on two threads and draw ahead of the transform.
+    The Monte Carlo feed, ``_increment_blocks``, calls the two halves,
+    ``_raw_bits`` and ``_increments_from_bits``, itself, so that they can
+    run on two threads and draw ahead of the transform.
     """
-    if streams is None:
-        streams = _path_streams(master_seed, lo, hi)
+    streams = _path_streams(master_seed, lo, hi)
     raw = _raw_bits(streams, np.empty((hi - lo, n_steps), dtype=np.uint64))
     return _increments_from_bits(raw, h, 0.0, np.empty((n_steps, hi - lo)))
 
@@ -546,21 +536,3 @@ def variation_of_constants_residual(
     rebuilt = xv[1 : n + 1] + convolve(r.trace.values[1:], g_dw, n)
     gap = np.abs(record.values[1 : n + 1] - rebuilt)
     return float(gap.max(initial=abs(record.values[0] - xv[0])))
-
-
-def verify_variation_of_constants(
-    mu: SignedMeasure,
-    nu: SignedMeasure,
-    phi: Segment,
-    cfg: SimulationConfig,
-    path_index: int,
-) -> float:
-    """Max residual of one simulated path in the resolvent representation."""
-    n_steps = exact_divisions(cfg.horizon, cfg.step, "horizon")
-    increments = _normal_increments(
-        cfg.master_seed, path_index, path_index + 1, n_steps, cfg.step
-    )[:, 0]
-    record = simulate_single_path(mu, nu, phi, cfg.step, cfg.horizon, increments)
-    r = compute_resolvent(mu, cfg.step, cfg.horizon)
-    x = deterministic_solution(mu, phi, cfg.step, cfg.horizon)
-    return variation_of_constants_residual(record, r, x)

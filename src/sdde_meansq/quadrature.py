@@ -18,11 +18,10 @@ the impulse response: O(n * reach) past the input, with no transform.  The
 response grows to at most ``_TAIL`` points and stops before it leaves
 [2^-256, 2^256], where alone it would overflow or underflow.
 
-The solver's 128-point block response is built without a loop per entry
-for such a recurrence: a running product for one tap (bit for bit the
-entry-by-entry sum), and otherwise by the same doubling from e = [1].  Only
-a longer recurrence (a delayed drift past ``_DIRECT`` steps, the renewal
-solve) sums it entry by entry.  The block inverse gathers the response
+The solver's 128-point block response is built without a loop per entry:
+a running product for one tap (bit for bit the entry-by-entry sum), and
+otherwise by the same doubling from e = [1] on the taps a[:128], the only
+ones its points read, at any reach.  The block inverse gathers the response
 through one lag index built at import.
 """
 
@@ -97,6 +96,22 @@ def corrected_trapezoid(values: np.ndarray, h: float) -> float:
     d0 = (-11.0 * v[0] + 18.0 * v[1] - 9.0 * v[2] + 2.0 * v[3]) / (6.0 * h)
     d1 = (11.0 * v[-1] - 18.0 * v[-2] + 9.0 * v[-3] - 2.0 * v[-4]) / (6.0 * h)
     return base - h * h / 12.0 * (d1 - d0)
+
+
+def log_linear_fit(t: np.ndarray, v: np.ndarray):
+    """Least-squares line through (t, log v) over the positive v, in closed form.
+
+    Returns (slope, t_mean, log_mean), the line being log_mean + slope *
+    (t - t_mean), or None when fewer than two v are positive.  Both t and
+    log v are centred before their products are summed.
+    """
+    mask = v > 0.0
+    if np.count_nonzero(mask) < 2:
+        return None
+    tw, lw = t[mask], np.log(v[mask])
+    t_mean, l_mean = tw.mean(), lw.mean()
+    tw -= t_mean
+    return float(tw @ (lw - l_mean) / (tw @ tw)), t_mean, l_mean
 
 
 def _spectra(v: np.ndarray, seg: int) -> np.ndarray:
@@ -176,23 +191,14 @@ def _next_half(a: np.ndarray, e: np.ndarray) -> np.ndarray:
 def _block_response(a: np.ndarray) -> np.ndarray:
     """The first _BASE points of the impulse response of a: e[0] = 1, e[m] = sum a[k] e[m-k].
 
-    One tap is a running product.  Up to ``_DIRECT`` taps the response
-    doubles from e = [1] by ``_next_half``; longer ones are summed entry by
-    entry.
+    One tap is a running product.  Any other reach doubles from e = [1] by
+    ``_next_half`` on a[:_BASE], since e[m] for m < _BASE reads no later tap.
     """
-    reach = a.size - 1
-    if reach == 1:
+    if a.size == 2:
         return np.multiply.accumulate(np.concatenate(([1.0], np.full(_BASE - 1, a[1]))))
-    if reach <= _DIRECT:
-        e = np.ones(1)
-        while e.size < _BASE:
-            e = np.concatenate((e, _next_half(a, e)))
-        return e
-    e = np.zeros(_BASE)
-    e[0] = 1.0
-    for i in range(1, _BASE):
-        taps = a[1 : i + 1]
-        e[i] = taps @ e[i - 1 :: -1][: taps.size]
+    a, e = a[:_BASE], np.ones(1)
+    while e.size < _BASE:
+        e = np.concatenate((e, _next_half(a, e)))
     return e
 
 

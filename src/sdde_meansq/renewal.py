@@ -29,7 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, NumericalError, BAD_VALUE, GRID_MISALIGNED, STEP_TOO_LARGE
-from .quadrature import convolve, require_finite, require_match, solve_causal, times_exp
+from .quadrature import (
+    convolve, log_linear_fit, require_finite, require_match, solve_causal, times_exp,
+)
 from .resolvent import GridTrace, ResolventTable
 from .stability import malthusian_rate
 
@@ -93,16 +95,6 @@ def solve_renewal(p: RenewalProblem) -> GridTrace:
     return GridTrace(h, require_finite(times_exp(yt, pw), h, "renewal solution"))
 
 
-def _log_slope(v: np.ndarray, h: float) -> float:
-    """Least-squares exponential rate of the positive values of v (0 if fewer than 2)."""
-    k = np.flatnonzero(v > 0.0)
-    if k.size < 2:
-        return 0.0
-    t = h * k
-    t = t - t.mean()
-    return float(np.dot(t, np.log(v[k])) / np.dot(t, t))
-
-
 def mean_square_trace(x: GridTrace, r: ResolventTable, y: GridTrace) -> GridTrace:
     """Second moment x(t)^2 + (r^2 * y)(t) by trapezoidal convolution.
 
@@ -116,7 +108,8 @@ def mean_square_trace(x: GridTrace, r: ResolventTable, y: GridTrace) -> GridTrac
         require_match(tr.step, h, GRID_MISALIGNED, "traces must share the grid step")
     n_pts = min(x.values.size, rv.size, y.values.size)
     yv = y.values[:n_pts]
-    pw = _log_slope(yv, h) * h * np.arange(n_pts)
+    line = log_linear_fit(h * np.arange(n_pts), yv)
+    pw = (0.0 if line is None else line[0]) * h * np.arange(n_pts)
     rsq = times_exp(np.abs(rv[:n_pts]), -0.5 * pw) ** 2
     yt = times_exp(yv, -pw)
     conv = convolve(rsq, yt, n_pts) - 0.5 * (rsq[0] * yt + rsq * yt[0])

@@ -20,9 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, GridRangeError, ALPHA_MISMATCH, BAD_VALUE, GRID_MISALIGNED
+from .errors import ConfigurationError, ALPHA_MISMATCH, BAD_VALUE, GRID_MISALIGNED
 from .measures import CompiledFunctional, Segment, SignedMeasure
-from .quadrature import corrected_trapezoid, exact_divisions, require_match, solve_causal
+from .quadrature import (
+    corrected_trapezoid, exact_divisions, log_linear_fit, require_match, solve_causal,
+)
 
 #: least-squares envelope slopes flatter than this count as "no trend"
 _FLAT_SLOPE = 1e-12
@@ -50,7 +52,7 @@ class GridTrace:
 
 
 class _HistoryTable:
-    """Shared machinery for traces that carry history for segment extraction.
+    """A trace on [0, T] together with its history on [-alpha, 0).
 
     ``padded`` holds values from time -alpha through T, so the segment at
     grid time t_n is ``padded[n : n + N + 1]``.
@@ -66,20 +68,11 @@ class _HistoryTable:
     def trace(self) -> GridTrace:
         return GridTrace(self.step, self.padded[self.n_hist :])
 
-    def segment(self, t: float) -> Segment:
-        n = round(t / self.step)
-        if abs(t - n * self.step) > 1e-9 * self.step or n < 0:
-            raise GridRangeError(f"time {t} is not a grid point")
-        if self.n_hist + n >= self.padded.size:
-            raise GridRangeError(f"time {t} is beyond the computed horizon")
-        return Segment(self.alpha, self.step, self.padded[n : n + self.n_hist + 1].copy())
-
 
 class ResolventTable(_HistoryTable):
     """Fundamental solution on [0, T] with the zero-history convention.
 
-    ``trace.values[0]`` is always 1; segments extracted at t < alpha are 0
-    at all nodes before time 0.
+    ``trace.values[0]`` is always 1, and ``padded`` is 0 before time 0.
     """
 
 
@@ -153,23 +146,20 @@ def _envelope_fit(trace: GridTrace):
     t = trace.step * np.arange(w0, n, dtype=float)
     suffix = np.maximum.accumulate(v[w0:][::-1])[::-1][: n - w0]
 
-    def logslope(env):
-        """Least-squares line through (t, log env) where env > 0, in closed form."""
-        mask = env > 0.0
-        if np.count_nonzero(mask) < 2:
+    def fit(env):
+        """Slope of log env over the window, and the fitted envelope at T."""
+        line = log_linear_fit(t, env)
+        if line is None:
             return None, 0.0
-        tw, lw = t[mask], np.log(env[mask])
-        t_mean, l_mean = tw.mean(), lw.mean()
-        tw -= t_mean
-        slope = float(tw @ (lw - l_mean) / (tw @ tw))
+        slope, t_mean, l_mean = line
         return slope, math.exp(l_mean + slope * (trace.step * (v.size - 1) - t_mean))
 
-    slope, env_T = logslope(suffix)
+    slope, env_T = fit(suffix)
     if slope is None:
         return math.inf, 0.0
     if slope < -_FLAT_SLOPE:
         return -slope, env_T
-    gslope, genv_T = logslope(np.maximum.accumulate(v[:n])[w0:])
+    gslope, genv_T = fit(np.maximum.accumulate(v[:n])[w0:])
     if gslope is not None and gslope > _FLAT_SLOPE:
         return -gslope, genv_T
     return 0.0, env_T

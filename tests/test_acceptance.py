@@ -19,6 +19,7 @@ from sdde_meansq import (
     GridTrace,
     RenewalProblem,
     SignedMeasure,
+    SimulationConfig,
     aligned_horizon,
     aligned_step,
     analyze,
@@ -38,7 +39,7 @@ from sdde_meansq import (
     solve_renewal,
     variation_of_constants_residual,
 )
-from sdde_meansq.montecarlo import SimulationConfig, _normal_increments
+from sdde_meansq.montecarlo import _normal_increments
 
 SQRT2 = math.sqrt(2.0)
 

@@ -7,16 +7,10 @@ import sys
 import numpy as np
 import pytest
 
-from sdde_meansq import (
-    ConfigurationError,
-    NumericalError,
-    config_hash,
-    parse_config,
-    run_pipeline,
-    serialize_spec,
-    with_overrides,
-)
+from sdde_meansq import parse_config, run_pipeline
 from sdde_meansq.cli import main as cli_main
+from sdde_meansq.config import config_hash, serialize_spec, with_overrides
+from sdde_meansq.errors import ConfigurationError, NumericalError
 from sdde_meansq.pipeline import _CSV_ROWS, emit_csv
 
 GBM = {
@@ -70,6 +64,16 @@ class TestParseConfig:
         assert "mu.atoms[0]" in str(err.value)
         with pytest.raises(ConfigurationError):
             parse_config("not json")
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        # a stream key holds the seed in 64 bits: these would draw as 2**64 - 1 and 0
+        d = doc(numerical={"h": 0.01, "T": 1, "mc": {"paths": 16, "seed": seed}})
+        with pytest.raises(ConfigurationError) as err:
+            parse_config(json.dumps(d))
+        assert err.value.code == "BAD_VALUE" and err.value.field == "numerical.mc.seed"
+        d["numerical"]["mc"]["seed"] = seed % 2**64
+        assert parse_config(json.dumps(d)).mc.seed == seed % 2**64
 
     def test_phi_samples_length_checked(self):
         bad = doc(phi={"samples": [1.0, 2.0, 3.0]})
@@ -336,6 +340,14 @@ class TestCli:
             cli_main(["--help"])
         assert exc.value.code == 0
         assert "<command>" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_flag_outside_64_bits_is_a_configuration_error(self, tmp_path, capsys, seed):
+        cfg = _write(tmp_path, doc(numerical={"h": 0.01, "T": 1, "mc": {"paths": 16}}))
+        out = tmp_path / "out"
+        assert cli_main(["simulate", "--config", cfg, "--out", str(out), "--seed", seed]) == 1
+        assert capsys.readouterr().err.startswith("config error [BAD_VALUE]: numerical.mc.seed: ")
+        assert not (out / "meansq_mc.csv").exists()
 
     def test_simulate_requires_mc_settings(self, tmp_path):
         cfg = _write(tmp_path, doc(numerical={"h": 0.01, "T": 1}))

@@ -6,25 +6,21 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sdde_meansq import (
-    AtomAlignmentError,
-    ConfigurationError,
     GridTrace,
     PhiSpec,
-    ProblemSpec,
     RenewalProblem,
-    Segment,
     SignedMeasure,
     SimulationConfig,
-    apply_functional,
     compute_resolvent,
     deterministic_solution,
     g_of_r_trace,
-    mean_square_trace,
     simulate_mean_square,
-    solution_functional_trace,
-    total_variation,
 )
-from sdde_meansq.measures import CompiledFunctional
+from sdde_meansq.config import ProblemSpec
+from sdde_meansq.errors import AtomAlignmentError, ConfigurationError
+from sdde_meansq.measures import CompiledFunctional, Segment, total_variation
+from sdde_meansq.renewal import mean_square_trace
+from sdde_meansq.stability import solution_functional_trace
 
 E = math.e
 
@@ -35,36 +31,34 @@ def seg(alpha, h, fn):
     return Segment(alpha, h, fn(u))
 
 
+def apply(m, s):
+    """The measure's functional on the segment, as the solvers evaluate it."""
+    return CompiledFunctional(m, s.step).value(s.values, 0)
+
+
 class TestApplyFunctional:
     def test_point_mass_at_zero(self):
         m = SignedMeasure(1.0, atoms=((0.0, 3.5),))
         s = seg(1.0, 0.1, lambda u: np.ones_like(u))
-        assert apply_functional(m, s) == 3.5
+        assert apply(m, s) == 3.5
 
     def test_annihilating_pair_on_exponential(self):
         # weights -e at 0 and 1 at -1 cancel exactly on exp(-u)
         m = SignedMeasure(1.0, atoms=((0.0, -E), (-1.0, 1.0)))
         s = seg(1.0, 0.01, lambda u: np.exp(-u))
-        assert apply_functional(m, s) == pytest.approx(0.0, abs=1e-14)
+        assert apply(m, s) == pytest.approx(0.0, abs=1e-14)
 
     def test_unit_density_against_linear(self):
         # oracle: integral of u over [-1, 0] is -1/2, exact for the trapezoid
         m = SignedMeasure(1.0, density=((-1.0, 1.0), (0.0, 1.0)))
         s = seg(1.0, 0.001, lambda u: u)
-        assert apply_functional(m, s) == pytest.approx(-0.5, abs=1e-12)
-
-    def test_alpha_mismatch_rejected(self):
-        m = SignedMeasure(1.0, atoms=((0.0, 1.0),))
-        s = seg(2.0, 0.1, lambda u: np.ones_like(u))
-        with pytest.raises(ConfigurationError) as err:
-            apply_functional(m, s)
-        assert err.value.code == "ALPHA_MISMATCH"
+        assert apply(m, s) == pytest.approx(-0.5, abs=1e-12)
 
     def test_off_grid_atom_rejected(self):
         m = SignedMeasure(1.0, atoms=((-0.05, 1.0),))
         s = seg(1.0, 0.1, lambda u: np.ones_like(u))
         with pytest.raises(AtomAlignmentError) as err:
-            apply_functional(m, s)
+            apply(m, s)
         assert "-0.05" in str(err.value)
 
     def test_density_part_second_order(self):
@@ -74,7 +68,7 @@ class TestApplyFunctional:
         errs = []
         for h in (0.02, 0.01, 0.005):
             s = seg(1.0, h, lambda u: np.exp(u))
-            errs.append(abs(apply_functional(m, s) - exact))
+            errs.append(abs(apply(m, s) - exact))
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.2)
         assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.2)
 
@@ -95,10 +89,6 @@ def _ones(alpha, h):
 #: every place where two alphas or two steps must coincide; each case is
 #: 1e-9 off and reaches its own comparison (alpha 0 lets a segment carry any step)
 MISMATCH_SITES = {
-    "apply_functional": (
-        "ALPHA_MISMATCH", lambda: apply_functional(_decay(1.0), _ones(ALPHA_OFF, ALPHA_OFF / 10))
-    ),
-    "SignedMeasure.__add__": ("ALPHA_MISMATCH", lambda: _decay(1.0) + _decay(ALPHA_OFF)),
     "ProblemSpec": (
         "ALPHA_MISMATCH",
         lambda: ProblemSpec(1.0, _decay(1.0), _decay(ALPHA_OFF), PhiSpec("constant"), 0.1, 1.0),
@@ -181,7 +171,7 @@ class TestTrace:
         padded = np.exp(3.0 * h * np.arange(20001)) * np.cos(7.0 * h * np.arange(20001))
         out = F.trace(padded)
         ref = np.correlate(padded, F.dens_weights, mode="valid")
-        for off, w in F.atom_items:
+        for off, w in F.atom_at.items():
             ref += w * padded[off : off + ref.size]
         scale = np.exp(3.0 * h * np.arange(ref.size) + 3.0)  # max |padded| on each segment
         assert np.abs(out - ref).max() <= 1e-13 * scale.max()
@@ -209,17 +199,18 @@ class TestInvariants:
         s1 = Segment(1.0, h, v1)
         s2 = Segment(1.0, h, v2)
         combo = Segment(1.0, h, a * v1 + b * v2)
-        lhs = apply_functional(m, combo)
-        rhs = a * apply_functional(m, s1) + b * apply_functional(m, s2)
+        lhs = apply(m, combo)
+        rhs = a * apply(m, s1) + b * apply(m, s2)
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
     @given(st.floats(-4, 4), st.floats(-4, 4), st.floats(-4, 4))
     def test_measure_additivity(self, w1, w2, dv):
         m1 = SignedMeasure(1.0, atoms=((0.0, w1),), density=((-1.0, dv), (0.0, 0.5)))
         m2 = SignedMeasure(1.0, atoms=((0.0, w2), (-0.5, 1.0)))
+        total = SignedMeasure(1.0, atoms=((0.0, w1 + w2), (-0.5, 1.0)), density=m1.density)
         s = seg(1.0, 0.05, lambda u: np.cos(3 * u))
-        lhs = apply_functional(m1 + m2, s)
-        rhs = apply_functional(m1, s) + apply_functional(m2, s)
+        lhs = apply(total, s)
+        rhs = apply(m1, s) + apply(m2, s)
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
     @given(st.lists(st.floats(-2, 2), min_size=11, max_size=11))
@@ -227,7 +218,7 @@ class TestInvariants:
         m = SignedMeasure(1.0, atoms=((0.0, 1.5), (-0.5, -0.75)))
         s = Segment(1.0, 0.1, np.array(values))
         bound = total_variation(m) * np.abs(s.values).max()
-        assert abs(apply_functional(m, s)) <= bound + 1e-12
+        assert abs(apply(m, s)) <= bound + 1e-12
 
 
 class TestValidation:
@@ -245,7 +236,7 @@ class TestValidation:
 
     def test_zero_measure_is_valid(self):
         m = SignedMeasure(0.0)
-        assert m.is_zero
+        assert m.atoms == () and m.density == ()
 
     def test_segment_wrong_length(self):
         with pytest.raises(ConfigurationError):

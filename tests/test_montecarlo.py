@@ -21,7 +21,6 @@ from sdde_meansq import (
     simulate_mean_square,
     simulate_single_path,
     variation_of_constants_residual,
-    verify_variation_of_constants,
 )
 from sdde_meansq.measures import CompiledFunctional
 from sdde_meansq.montecarlo import (
@@ -30,9 +29,11 @@ from sdde_meansq.montecarlo import (
     DIVERGE_LIMIT,
     RESCALE_BITS,
     _euler_maruyama,
+    _increments_from_bits,
     _normal_increments,
     _path_key,
     _path_streams,
+    _raw_bits,
     _rekey,
     _simulate_chunk,
     _WindowSums,
@@ -73,7 +74,7 @@ def assert_window_sums_match_matvec(measure, h, paths):
     fn = CompiledFunctional(measure, h)
     N = fn.n_intervals
     weights = np.zeros(N + 1) if fn.dens_weights is None else fn.dens_weights.copy()
-    for off, w in fn.atom_items:
+    for off, w in fn.atom_at.items():
         weights[off] += w
     evaluator = _WindowSums(fn, paths)
     for n in range(paths.shape[0] - N - 1):
@@ -186,7 +187,7 @@ class TestWindowSums:
 
     def test_atom_only_functional_keeps_no_moments(self):
         fn = CompiledFunctional(SignedMeasure(1.0, atoms=((0.0, 1.0), (-0.5, 2.0))), 0.1)
-        assert fn.runs == () and fn.point_items == fn.atom_items
+        assert fn.runs == () and fn.point_items == tuple(fn.atom_at.items())
 
 
 class TestIncrements:
@@ -214,7 +215,13 @@ class TestIncrements:
         ], axis=1)
         reference = ndtri((ints + 0.5) * 2.0**-53) * math.sqrt(h)
         streams = _path_streams(seed, lo, hi)
-        blocks = [_normal_increments(seed, lo, hi, k, h, streams=streams) for k in lengths]
+        blocks = [
+            _increments_from_bits(
+                _raw_bits(streams, np.empty((hi - lo, k), dtype=np.uint64)), h, 0.0,
+                np.empty((k, hi - lo)),
+            )
+            for k in lengths
+        ]
         assert np.array_equal(np.concatenate(blocks), reference)
         assert np.array_equal(_normal_increments(seed, lo, hi, n, h), reference)
 
@@ -629,17 +636,29 @@ class TestSimulateMeanSquare:
             SimulationConfig(step=0.01, horizon=1.0, path_count=1)
 
 
+def path_residual(mu, nu, phi, cfg, path_index):
+    """Max residual of one simulated path in the resolvent representation."""
+    n_steps = round(cfg.horizon / cfg.step)
+    increments = _normal_increments(
+        cfg.master_seed, path_index, path_index + 1, n_steps, cfg.step
+    )[:, 0]
+    record = simulate_single_path(mu, nu, phi, cfg.step, cfg.horizon, increments)
+    r = compute_resolvent(mu, cfg.step, cfg.horizon)
+    x = deterministic_solution(mu, phi, cfg.step, cfg.horizon)
+    return variation_of_constants_residual(record, r, x)
+
+
 class TestVariationOfConstants:
     def test_zero_noise_residual_is_integrator_gap(self):
         h = 1e-3
         cfg = SimulationConfig(step=h, horizon=2.0, path_count=2, master_seed=3)
-        res = verify_variation_of_constants(MU, NU_ZERO, phi_const(h), cfg, path_index=0)
+        res = path_residual(MU, NU_ZERO, phi_const(h), cfg, path_index=0)
         assert res < 1e-3
 
     def test_residual_small_at_fine_step(self):
         h = 1e-3
         cfg = SimulationConfig(step=h, horizon=2.0, path_count=2, master_seed=3)
-        res = verify_variation_of_constants(MU, NU, phi_const(h), cfg, path_index=0)
+        res = path_residual(MU, NU, phi_const(h), cfg, path_index=0)
         assert res < 0.05
 
     def test_refinement_order_with_common_noise(self):
@@ -665,7 +684,7 @@ class TestVariationOfConstants:
         nu = SignedMeasure(1.0, atoms=((0.0, -e), (-1.0, 1.0)))
         phi = PhiSpec("exponential", rate=-1.0).expand(1.0, 1e-3)
         cfg = SimulationConfig(step=1e-3, horizon=2.0, path_count=2, master_seed=11)
-        res = verify_variation_of_constants(MU, nu, phi, cfg, path_index=0)
+        res = path_residual(MU, nu, phi, cfg, path_index=0)
         assert res < 1e-2
 
 

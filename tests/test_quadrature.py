@@ -109,7 +109,10 @@ class TestSolveCausal:
         assert a.size == 2
         assert np.array_equal(_block_response(a), reference_response(a))
 
-    @pytest.mark.parametrize("reach", [2, 3, 17, _DIRECT - 1, _DIRECT])
+    # every reach past one tap, on both sides of _DIRECT and of _BASE, up to
+    # the renewal kernel of the 40001-point workload
+    @pytest.mark.parametrize("reach", [2, 3, 17, _DIRECT - 1, _DIRECT, _DIRECT + 1, 101, 1001,
+                                       40000])
     @pytest.mark.parametrize("signed", [False, True])
     def test_short_response_matches_the_loop(self, reach, signed):
         rng = np.random.default_rng(reach)

@@ -7,18 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sdde_meansq import (
-    ConfigurationError,
     GridTrace,
-    NumericalError,
     RenewalProblem,
     SignedMeasure,
     analyze,
     compute_resolvent,
-    mean_square_trace,
     parse_config,
     solve_renewal,
 )
 from sdde_meansq.cli import main as cli_main
+from sdde_meansq.errors import ConfigurationError, NumericalError
+from sdde_meansq.renewal import mean_square_trace
 from sdde_meansq.quadrature import _BASE, _FFT_BLOCK
 from sdde_meansq.stability import malthusian_rate
 

@@ -1,7 +1,10 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+import sdde_meansq
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -41,3 +44,14 @@ def test_stability_region_locates_the_boundary():
     lines = run_script("stability_region.py", "--step", "0.1")
     assert lines[0].startswith("closed-form boundary b0 =")
     assert lines[1].startswith("numerical boundary     =")
+
+
+def test_readme_lists_the_library_names():
+    # the bullet list under "### Library names", continuation lines included
+    section = (ROOT / "README.md").read_text().split("### Library names\n", 1)[1]
+    bullets = re.search(r"^(?:- .*\n(?:  .*\n)*)+", section, re.MULTILINE).group(0)
+    listed = re.findall(r"`(\w+)`", bullets)
+    assert len(listed) == len(set(listed))
+    assert sorted(listed) == sorted(sdde_meansq.__all__)
+    for name in sdde_meansq.__all__:
+        assert getattr(sdde_meansq, name) is not None

@@ -9,35 +9,37 @@ from scipy.optimize import brentq
 
 from sdde_meansq import (
     CRITICAL,
-    DEGENERATE,
     SUBCRITICAL,
     SUPERCRITICAL,
-    UNCERTIFIED,
     GridTrace,
-    NumericalError,
     SignedMeasure,
     analyze,
     classify,
     compute_resolvent,
-    delayed_drift_norm_formula,
     detect_degenerate,
     example_norm_formula,
     g_of_r_trace,
-    kernel_first_moment,
-    limit_constant,
     l2_norm_sq_tail,
     parse_config,
     renewal_mean_square,
     solve_b0,
     solve_kappa_supercritical,
-    solve_theta_subcritical,
-    tilted_kernel_mass,
 )
 from sdde_meansq.cli import main as cli_main
 from sdde_meansq import renewal
+from sdde_meansq.errors import NumericalError
 from sdde_meansq.measures import CompiledFunctional
 from sdde_meansq.quadrature import corrected_trapezoid
-from sdde_meansq.stability import malthusian_rate
+from sdde_meansq.stability import (
+    DEGENERATE,
+    UNCERTIFIED,
+    delayed_drift_norm_formula,
+    kernel_first_moment,
+    limit_constant,
+    malthusian_rate,
+    solve_theta_subcritical,
+    tilted_kernel_mass,
+)
 
 E = math.e
 
@@ -54,6 +56,14 @@ def gbm_doc(b, c):
         "alpha": 1, "mu": {"atoms": [[0, b]]}, "nu": {"atoms": [[0, c]]},
         "phi": {"constant": 1}, "numerical": {"h": 0.001, "T": 20},
     }
+
+
+def scaled(m, factor):
+    """The measure ``factor * m``."""
+    return SignedMeasure(
+        m.alpha, tuple((l, factor * w) for l, w in m.atoms),
+        tuple((l, factor * v) for l, v in m.density),
+    )
 
 
 def exp_kernel(scale, rate, h=1e-3, T=20.0):
@@ -205,8 +215,8 @@ class TestNormSq:
         r = compute_resolvent(mu, 0.01, 15.0)
         base, _ = l2_norm_sq_tail(g_of_r_trace(r, nu))
         for lam in (0.5, 2.0, 3.0):
-            scaled, _ = l2_norm_sq_tail(g_of_r_trace(r, nu.scaled(lam)))
-            assert scaled == pytest.approx(lam * lam * base, rel=1e-12)
+            value, _ = l2_norm_sq_tail(g_of_r_trace(r, scaled(nu, lam)))
+            assert value == pytest.approx(lam * lam * base, rel=1e-12)
 
     def test_classification_flips_across_unit_scale(self):
         mu = SignedMeasure(1.0, atoms=((0.0, -1.0),))
@@ -215,7 +225,7 @@ class TestNormSq:
         base, tail = l2_norm_sq_tail(g_of_r_trace(r, nu))
         crit = 1.0 / math.sqrt(base)
         for lam, expected in ((0.9 * crit, SUBCRITICAL), (1.1 * crit, SUPERCRITICAL)):
-            value, tail = l2_norm_sq_tail(g_of_r_trace(r, nu.scaled(lam)))
+            value, tail = l2_norm_sq_tail(g_of_r_trace(r, scaled(nu, lam)))
             assert classify(value, tail) == expected
 
 
