@@ -31,7 +31,8 @@ from .errors import (
     SCHEMA_INVALID,
     ConfigurationError,
 )
-from .measures import CompiledFunctional, Segment, SignedMeasure
+from .measures import CompiledFunctional, Segment, SignedMeasure, segment_nodes
+from .montecarlo import check_mc_limits
 from .quadrature import exact_divisions, require_match
 
 
@@ -53,12 +54,10 @@ class PhiSpec:
         return None
 
     def expand(self, alpha: float, h: float) -> Segment:
-        n = exact_divisions(alpha, h, "alpha")
         fn = self.sampler()
         if fn is not None:
-            u = -alpha + h * np.arange(n + 1)
-            u[-1] = 0.0
-            return Segment(alpha, h, fn(u))
+            return Segment(alpha, h, fn(segment_nodes(alpha, h)))
+        n = exact_divisions(alpha, h, "alpha")
         if len(self.samples) != n + 1:
             raise ConfigurationError(
                 PHI_SAMPLES_MISMATCH,
@@ -77,12 +76,7 @@ class McSettings:
     workers: int = 1
 
     def __post_init__(self):
-        # a path's stream key holds the seed in 64 bits; any other seed would
-        # give the draws of the seed it wraps to
-        if not 0 <= self.seed < 2**64:
-            raise ConfigurationError(
-                BAD_VALUE, f"must lie in [0, 2**64), got {self.seed}", field="numerical.mc.seed"
-            )
+        check_mc_limits(self.paths, self.seed, self.workers, "numerical.mc.")
 
 
 @dataclass(frozen=True)
@@ -157,14 +151,22 @@ def _pairs(obj, field: str) -> tuple:
     return tuple(out)
 
 
-def _measure(obj, alpha: float, field: str) -> SignedMeasure:
-    if obj is None:
-        obj = {}
+def _object(obj, field: str, keys, required=()) -> dict:
+    """``obj`` as a JSON object whose keys are among ``keys`` and include ``required``."""
     if not isinstance(obj, dict):
-        _fail(SCHEMA_INVALID, "expected an object", field)
-    unknown = set(obj) - {"atoms", "density"}
+        what = "top level must be an object" if field == "$" else "expected an object"
+        _fail(SCHEMA_INVALID, what, field)
+    unknown = set(obj) - set(keys)
     if unknown:
         _fail(SCHEMA_INVALID, f"unknown keys {sorted(unknown)}", field)
+    for key in required:
+        if key not in obj:
+            _fail(SCHEMA_INVALID, f"missing required key {key!r}", field)
+    return obj
+
+
+def _measure(obj, alpha: float, field: str) -> SignedMeasure:
+    obj = _object({} if obj is None else obj, field, ("atoms", "density"))
     atoms = _pairs(obj.get("atoms", []), f"{field}.atoms")
     density = _pairs(obj.get("density", []), f"{field}.density")
     try:
@@ -181,9 +183,7 @@ def _phi(obj, field: str) -> PhiSpec:
         return PhiSpec("constant", value=_number(payload, f"{field}.constant"))
     if kind == "exponential":
         if isinstance(payload, dict):
-            unknown = set(payload) - {"rate", "scale"}
-            if unknown:
-                _fail(SCHEMA_INVALID, f"unknown keys {sorted(unknown)}", f"{field}.exponential")
+            _object(payload, f"{field}.exponential", ("rate", "scale"))
             return PhiSpec(
                 "exponential",
                 value=_number(payload.get("scale", 1.0), f"{field}.exponential.scale"),
@@ -206,32 +206,13 @@ def parse_config(text: str) -> ProblemSpec:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigurationError(SCHEMA_INVALID, f"not valid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        _fail(SCHEMA_INVALID, "top level must be an object", "$")
-    unknown = set(doc) - {"alpha", "mu", "nu", "phi", "numerical"}
-    if unknown:
-        _fail(SCHEMA_INVALID, f"unknown keys {sorted(unknown)}", "$")
-    for key in ("alpha", "mu", "nu", "phi", "numerical"):
-        if key not in doc:
-            _fail(SCHEMA_INVALID, f"missing required key {key!r}", "$")
+    top = ("alpha", "mu", "nu", "phi", "numerical")
+    doc = _object(doc, "$", top, required=top)
     alpha = _number(doc["alpha"], "alpha")
-    num = doc["numerical"]
-    if not isinstance(num, dict):
-        _fail(SCHEMA_INVALID, "expected an object", "numerical")
-    unknown = set(num) - {"h", "T", "band", "mc"}
-    if unknown:
-        _fail(SCHEMA_INVALID, f"unknown keys {sorted(unknown)}", "numerical")
-    for key in ("h", "T"):
-        if key not in num:
-            _fail(SCHEMA_INVALID, f"missing required key {key!r}", "numerical")
+    num = _object(doc["numerical"], "numerical", ("h", "T", "band", "mc"), required=("h", "T"))
     mc = None
     if num.get("mc") is not None:
-        mcd = num["mc"]
-        if not isinstance(mcd, dict):
-            _fail(SCHEMA_INVALID, "expected an object", "numerical.mc")
-        unknown = set(mcd) - {"paths", "seed", "workers"}
-        if unknown:
-            _fail(SCHEMA_INVALID, f"unknown keys {sorted(unknown)}", "numerical.mc")
+        mcd = _object(num["mc"], "numerical.mc", ("paths", "seed", "workers"))
         mc = McSettings(
             paths=_integer(mcd.get("paths", 1000), "numerical.mc.paths"),
             seed=_integer(mcd.get("seed", 0), "numerical.mc.seed"),

@@ -39,20 +39,14 @@ class SignedMeasure:
         object.__setattr__(self, "atoms", tuple((float(l), float(w)) for l, w in self.atoms))
         object.__setattr__(self, "density", tuple((float(l), float(v)) for l, v in self.density))
         slack = DIV_RTOL * max(1.0, self.alpha)
+        for what, pairs in (("atom location", self.atoms), ("density knot", self.density)):
+            for l, _ in pairs:
+                if l < -self.alpha - slack or l > slack:
+                    raise ConfigurationError(BAD_VALUE, f"{what} {l} outside [-{self.alpha}, 0]")
         locs = [l for l, _ in self.atoms]
-        for l in locs:
-            if l < -self.alpha - slack or l > slack:
-                raise ConfigurationError(
-                    BAD_VALUE, f"atom location {l} outside [-{self.alpha}, 0]"
-                )
         if len(set(locs)) != len(locs):
             raise ConfigurationError(BAD_VALUE, "atom locations must be pairwise distinct")
         dlocs = [l for l, _ in self.density]
-        for l in dlocs:
-            if l < -self.alpha - slack or l > slack:
-                raise ConfigurationError(
-                    BAD_VALUE, f"density knot {l} outside [-{self.alpha}, 0]"
-                )
         if any(b <= a for a, b in zip(dlocs, dlocs[1:])):
             raise ConfigurationError(BAD_VALUE, "density knots must be strictly increasing")
 
@@ -82,6 +76,16 @@ def _affine_runs(u: np.ndarray, locs: np.ndarray, rho: np.ndarray, h: float) -> 
     return tuple(runs)
 
 
+def segment_nodes(alpha: float, h: float) -> np.ndarray:
+    """The segment grid -alpha + h k, k = 0 .. alpha / h, its last node exactly 0.
+
+    ``-alpha + N h`` may round above 0, where a density knot at 0 reads 0.
+    """
+    u = -alpha + h * np.arange(exact_divisions(alpha, h, "alpha") + 1)
+    u[-1] = 0.0
+    return u
+
+
 @dataclass(eq=False)
 class Segment:
     """A function sampled on the uniform grid -alpha, -alpha+h, ..., 0."""
@@ -99,9 +103,6 @@ class Segment:
                 f"segment needs {n + 1} values for alpha={self.alpha}, h={self.step}; "
                 f"got {self.values.shape[0]}",
             )
-
-    def times(self) -> np.ndarray:
-        return -self.alpha + self.step * np.arange(self.values.size)
 
 
 class CompiledFunctional:
@@ -145,7 +146,7 @@ class CompiledFunctional:
         self.runs = ()
         self.point_items = tuple(atom_at.items())
         if measure.density and N >= 1:
-            u = -measure.alpha + h * np.arange(N + 1)
+            u = segment_nodes(measure.alpha, h)
             locs = np.array([l for l, _ in measure.density])
             vals = np.array([v for _, v in measure.density])
             rho = np.interp(u, locs, vals, left=0.0, right=0.0)

@@ -45,7 +45,7 @@ import numpy as np
 from .errors import ConfigurationError, BAD_VALUE, GRID_MISALIGNED
 from .measures import CompiledFunctional, Segment, SignedMeasure
 from .quadrature import convolve, exact_divisions, require_match
-from .resolvent import ResolventTable, SolutionTable
+from .resolvent import HistoryTable
 
 #: paths per work unit; fixed so reductions are scheduling-independent
 CHUNK = 2048
@@ -62,6 +62,21 @@ BLOCK = 256
 _U64 = (1 << 64) - 1
 
 
+def check_mc_limits(paths: int, seed: int, workers: int, prefix: str = "") -> None:
+    """The limits of a Monte Carlo run; a value past one is BAD_VALUE on field prefix + name.
+
+    A path's stream key holds the seed in 64 bits, so any other seed would
+    give the draws of the seed it wraps to.
+    """
+    for name, value, ok, rule in (
+        ("paths", paths, paths >= 2, "must be at least 2"),
+        ("seed", seed, 0 <= seed < 2**64, "must lie in [0, 2**64)"),
+        ("workers", workers, workers >= 1, "must be at least 1"),
+    ):
+        if not ok:
+            raise ConfigurationError(BAD_VALUE, f"{rule}, got {value}", field=prefix + name)
+
+
 @dataclass(frozen=True)
 class SimulationConfig:
     """Monte Carlo run parameters; results depend only on these and the problem."""
@@ -75,8 +90,7 @@ class SimulationConfig:
     def __post_init__(self):
         if self.step <= 0.0 or self.horizon <= 0.0:
             raise ConfigurationError(BAD_VALUE, "step and horizon must be positive")
-        if self.path_count < 2:
-            raise ConfigurationError(BAD_VALUE, "need at least 2 paths")
+        check_mc_limits(self.path_count, self.master_seed, self.worker_count)
 
 
 @dataclass(eq=False)
@@ -245,12 +259,11 @@ class _WindowSums:
             s1[idx] *= factor
 
 
-def _thread_budget(hint: int) -> int:
+def _thread_budget(workers: int) -> int:
     env = os.environ.get("SDDE_MEANSQ_THREADS")
-    workers = max(1, hint)
     if env:
         try:
-            workers = min(workers, max(1, int(env)))
+            return min(workers, max(1, int(env)))
         except ValueError:
             pass
     return workers
@@ -373,15 +386,12 @@ def _increment_blocks(master_seed, bounds, n_steps, h, shift, helper):
             draw(i + 2)
 
 
-def _simulate_chunk(f_mu, g_nu, phi_values, n_steps, h, master_seed, lo, hi, tilt, feed=None):
+def _simulate_chunk(f_mu, g_nu, phi_values, n_steps, h, tilt, lo, hi, feed):
     """Per-time sums of w X^2 over paths [lo, hi), streamed a block of steps at a time.
 
     ``feed`` is an ``_increment_blocks`` positioned at this chunk's first
-    block; the chunk takes exactly its own blocks from it.  None builds a
-    feed of this chunk alone, on this thread.
+    block; the chunk takes exactly its own blocks from it.
     """
-    if feed is None:
-        feed = _increment_blocks(master_seed, [(lo, hi)], n_steps, h, tilt * h, None)
     n_hist = phi_values.size - 1
     m = hi - lo
     block = min(BLOCK, n_steps)
@@ -468,9 +478,7 @@ def simulate_mean_square(
             cfg.master_seed, bounds, n_steps, cfg.step, tilt * cfg.step, helper
         )
         results = [
-            _simulate_chunk(
-                f_mu, g_nu, phi.values, n_steps, cfg.step, cfg.master_seed, lo, hi, tilt, feed
-            )
+            _simulate_chunk(f_mu, g_nu, phi.values, n_steps, cfg.step, tilt, lo, hi, feed)
             for lo, hi in bounds
         ]
 
@@ -523,7 +531,7 @@ def simulate_single_path(
 
 
 def variation_of_constants_residual(
-    record: PathRecord, r: ResolventTable, x: SolutionTable
+    record: PathRecord, r: HistoryTable, x: HistoryTable
 ) -> float:
     """Max defect of the path in the resolvent representation.
 

@@ -14,8 +14,7 @@ from .quadrature import require_finite
 from .renewal import RenewalProblem, mean_square_trace, solve_renewal
 from .resolvent import (
     GridTrace,
-    ResolventTable,
-    SolutionTable,
+    HistoryTable,
     compute_resolvent,
     decay_rate_estimate,
     deterministic_solution,
@@ -44,8 +43,8 @@ class Analysis:
     """Everything the pipeline computes for one problem."""
 
     report: StabilityReport
-    r: ResolventTable
-    x: SolutionTable
+    r: HistoryTable
+    x: HistoryTable
     kernel: GridTrace
     forcing: GridTrace
 
@@ -112,7 +111,7 @@ def renewal_mean_square(analysis: Analysis) -> GridTrace:
     return mean_square_trace(analysis.x.trace, analysis.r, y)
 
 
-def simulation_config(spec: ProblemSpec) -> SimulationConfig:
+def monte_carlo_mean_square(spec: ProblemSpec) -> MomentEstimate:
     mc = spec.mc
     if mc is None:
         raise ConfigurationError(
@@ -120,17 +119,7 @@ def simulation_config(spec: ProblemSpec) -> SimulationConfig:
             "no Monte Carlo settings: add numerical.mc or pass --paths/--seed",
             field="numerical.mc",
         )
-    return SimulationConfig(
-        step=spec.h,
-        horizon=spec.T,
-        path_count=mc.paths,
-        master_seed=mc.seed,
-        worker_count=mc.workers,
-    )
-
-
-def monte_carlo_mean_square(spec: ProblemSpec) -> MomentEstimate:
-    cfg = simulation_config(spec)
+    cfg = SimulationConfig(spec.h, spec.T, mc.paths, mc.seed, mc.workers)
     return simulate_mean_square(spec.mu, spec.nu, spec.phi_segment(), cfg)
 
 
@@ -155,6 +144,13 @@ def emit_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
             # one format call per slice, on the slice's values in row order
             values = np.stack([col[lo : lo + _CSV_ROWS] for col in columns], axis=1)
             fh.write(row * values.shape[0] % tuple(values.ravel().tolist()))
+
+
+def emit_json(path: Path, doc: dict) -> None:
+    """Indent 2, LF line endings, one trailing newline."""
+    with open(path, "w", newline="\n") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
 
 
 def report_document(spec: ProblemSpec, report: StabilityReport) -> dict:
@@ -200,10 +196,7 @@ def run_pipeline(spec: ProblemSpec, commands: set[str], out_dir: str = ".") -> i
         if commands & {"classify", "meansquare", "compare"}:
             analysis = analyze(spec)
         if "classify" in commands:
-            doc = report_document(spec, analysis.report)
-            with open(track("report.json"), "w", newline="\n") as fh:
-                json.dump(doc, fh, indent=2)
-                fh.write("\n")
+            emit_json(track("report.json"), report_document(spec, analysis.report))
             uncertified = analysis.report.classification == UNCERTIFIED
         if "resolvent" in commands:
             r = analysis.r if analysis else compute_resolvent(spec.mu, spec.h, spec.T)
@@ -242,9 +235,7 @@ def run_pipeline(spec: ProblemSpec, commands: set[str], out_dir: str = ".") -> i
                 "valid": estimate.valid,
                 "config_hash": config_hash(spec),
             }
-            with open(track("meansq_mc_meta.json"), "w", newline="\n") as fh:
-                json.dump(meta, fh, indent=2)
-                fh.write("\n")
+            emit_json(track("meansq_mc_meta.json"), meta)
         if "compare" in commands:
             ren = renewal_msq.values
             mc = estimate.mean_sq

@@ -32,7 +32,7 @@ from .errors import ConfigurationError, NumericalError, BAD_VALUE, GRID_MISALIGN
 from .quadrature import (
     convolve, log_linear_fit, require_finite, require_match, solve_causal, times_exp,
 )
-from .resolvent import GridTrace, ResolventTable
+from .resolvent import GridTrace, HistoryTable
 from .stability import malthusian_rate
 
 #: second moments may round slightly below zero; anything worse aborts
@@ -95,7 +95,7 @@ def solve_renewal(p: RenewalProblem) -> GridTrace:
     return GridTrace(h, require_finite(times_exp(yt, pw), h, "renewal solution"))
 
 
-def mean_square_trace(x: GridTrace, r: ResolventTable, y: GridTrace) -> GridTrace:
+def mean_square_trace(x: GridTrace, r: HistoryTable, y: GridTrace) -> GridTrace:
     """Second moment x(t)^2 + (r^2 * y)(t) by trapezoidal convolution.
 
     The data are tilted by the fitted exponential rate of y, which makes the

@@ -51,7 +51,7 @@ class GridTrace:
         return self.values.size
 
 
-class _HistoryTable:
+class HistoryTable:
     """A trace on [0, T] together with its history on [-alpha, 0).
 
     ``padded`` holds values from time -alpha through T, so the segment at
@@ -67,17 +67,6 @@ class _HistoryTable:
     @property
     def trace(self) -> GridTrace:
         return GridTrace(self.step, self.padded[self.n_hist :])
-
-
-class ResolventTable(_HistoryTable):
-    """Fundamental solution on [0, T] with the zero-history convention.
-
-    ``trace.values[0]`` is always 1, and ``padded`` is 0 before time 0.
-    """
-
-
-class SolutionTable(_HistoryTable):
-    """Deterministic solution on [0, T], retaining its initial segment."""
 
 
 def _heun_recurrence(F: CompiledFunctional) -> tuple[np.ndarray, np.ndarray]:
@@ -97,8 +86,11 @@ def _heun_recurrence(F: CompiledFunctional) -> tuple[np.ndarray, np.ndarray]:
     return np.trim_zeros(np.concatenate(([0.0], taps[::-1])), "b"), c
 
 
-def compute_resolvent(mu: SignedMeasure, h: float, T: float) -> ResolventTable:
-    """Fundamental solution of the delay equation driven by ``mu`` on [0, T]."""
+def compute_resolvent(mu: SignedMeasure, h: float, T: float) -> HistoryTable:
+    """Fundamental solution of the delay equation driven by ``mu`` on [0, T].
+
+    The history is zero: ``padded`` is 0 before time 0 and ``trace.values[0]`` is 1.
+    """
     N = exact_divisions(mu.alpha, h, "alpha")
     steps = exact_divisions(T, h, "horizon")
     F = CompiledFunctional(mu, h)
@@ -109,13 +101,16 @@ def compute_resolvent(mu: SignedMeasure, h: float, T: float) -> ResolventTable:
     right, left = F.value_at_unit_jump(np.zeros(N + 1), 1.0)
     R[N + 1 : 2 * N + 1] = (0.5 * h * ((1.0 + h * c[N]) * right[:N] + left[1:]))[:steps]
     solve_causal(a, R, N + 1)
-    return ResolventTable(mu.alpha, h, R)
+    return HistoryTable(mu.alpha, h, R)
 
 
 def deterministic_solution(
     mu: SignedMeasure, phi: Segment, h: float, T: float
-) -> SolutionTable:
-    """Solution of the delay equation with initial segment ``phi`` on [0, T]."""
+) -> HistoryTable:
+    """Solution of the delay equation with initial segment ``phi`` on [0, T].
+
+    ``padded`` holds ``phi`` up to time 0.
+    """
     require_match(mu.alpha, phi.alpha, ALPHA_MISMATCH, "measure alpha != segment alpha")
     require_match(phi.step, h, GRID_MISALIGNED, "initial segment step != solver step")
     N = exact_divisions(mu.alpha, h, "alpha")
@@ -123,7 +118,7 @@ def deterministic_solution(
     X = np.zeros(N + steps + 1)
     X[: N + 1] = phi.values
     solve_causal(_heun_recurrence(CompiledFunctional(mu, h))[0], X, N + 1)
-    return SolutionTable(mu.alpha, h, X)
+    return HistoryTable(mu.alpha, h, X)
 
 
 def _envelope_fit(trace: GridTrace):

@@ -20,9 +20,9 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .errors import ConfigurationError, NumericalError, ALPHA_MISMATCH, BAD_VALUE
-from .measures import CompiledFunctional, Segment, SignedMeasure, total_variation
+from .measures import CompiledFunctional, Segment, SignedMeasure, segment_nodes, total_variation
 from .quadrature import corrected_trapezoid, exact_divisions, require_match, times_exp
-from .resolvent import GridTrace, ResolventTable, SolutionTable, deterministic_solution
+from .resolvent import GridTrace, HistoryTable, deterministic_solution
 
 SUBCRITICAL = "SUBCRITICAL"
 CRITICAL = "CRITICAL"
@@ -61,7 +61,7 @@ class StabilityReport:
         return asdict(self)
 
 
-def g_of_r_trace(r: ResolventTable, nu: SignedMeasure) -> GridTrace:
+def g_of_r_trace(r: HistoryTable, nu: SignedMeasure) -> GridTrace:
     """Trace s -> G(r_s) of the diffusion functional along resolvent segments.
 
     The unit jump of the resolvent history at time 0 makes the trace jump
@@ -81,7 +81,7 @@ def g_of_r_trace(r: ResolventTable, nu: SignedMeasure) -> GridTrace:
     return GridTrace(r.step, out)
 
 
-def solution_functional_trace(x: SolutionTable, nu: SignedMeasure) -> GridTrace:
+def solution_functional_trace(x: HistoryTable, nu: SignedMeasure) -> GridTrace:
     """Trace t -> G(x_t) of the diffusion functional along a solution."""
     require_match(nu.alpha, x.alpha, ALPHA_MISMATCH, "measure alpha != solution alpha")
     F = CompiledFunctional(nu, x.step)
@@ -184,7 +184,7 @@ def solve_theta_subcritical(g: GridTrace, rho: float) -> tuple[float | None, flo
     return theta, theta
 
 
-def limit_constant(f: GridTrace, r: ResolventTable, g: GridTrace, rate: float) -> float:
+def limit_constant(f: GridTrace, r: HistoryTable, g: GridTrace, rate: float) -> float:
     """Limit of e^(-rate t) times the second moment.
 
     ``rate`` is kappa when the kernel mass exceeds one and 0 when it is one.
@@ -221,9 +221,7 @@ def detect_degenerate(
         else:
             k = 1
         h_det = h / k
-        u = -alpha + h_det * np.arange(round(alpha / h_det) + 1)
-        u[-1] = 0.0
-        phi_seg = Segment(alpha, h_det, np.asarray(phi(u), dtype=float))
+        phi_seg = Segment(alpha, h_det, np.asarray(phi(segment_nodes(alpha, h_det)), dtype=float))
     else:
         phi_seg = phi
         h_det = phi.step

@@ -349,6 +349,29 @@ class TestCli:
         assert capsys.readouterr().err.startswith("config error [BAD_VALUE]: numerical.mc.seed: ")
         assert not (out / "meansq_mc.csv").exists()
 
+    @pytest.mark.parametrize("command", ["classify", "simulate"])
+    @pytest.mark.parametrize("mc, field", [
+        ({"paths": 1}, "paths"), ({"workers": 0}, "workers"), ({"workers": -3}, "workers"),
+    ], ids=["paths-1", "workers-0", "workers-minus-3"])
+    def test_mc_limits_fail_every_command(self, tmp_path, capsys, command, mc, field):
+        # the mc block is checked when the config is read, simulated or not
+        cfg = _write(tmp_path, doc(numerical={"h": 0.01, "T": 1, "mc": {"paths": 16, **mc}}))
+        out = tmp_path / "out"
+        assert cli_main([command, "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error [BAD_VALUE]: numerical.mc.{field}: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["classify", "simulate"])
+    def test_paths_flag_below_two_is_a_configuration_error(self, tmp_path, capsys, command):
+        cfg = _write(tmp_path, doc(numerical={"h": 0.01, "T": 1, "mc": {"paths": 16}}))
+        out = tmp_path / "out"
+        assert cli_main([command, "--config", cfg, "--out", str(out), "--paths", "1"]) == 1
+        assert capsys.readouterr().err.startswith(
+            "config error [BAD_VALUE]: numerical.mc.paths: must be at least 2, got 1"
+        )
+        assert not out.exists()
+
     def test_simulate_requires_mc_settings(self, tmp_path):
         cfg = _write(tmp_path, doc(numerical={"h": 0.01, "T": 1}))
         assert cli_main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 1

@@ -18,7 +18,7 @@ from sdde_meansq import (
 )
 from sdde_meansq.config import ProblemSpec
 from sdde_meansq.errors import AtomAlignmentError, ConfigurationError
-from sdde_meansq.measures import CompiledFunctional, Segment, total_variation
+from sdde_meansq.measures import CompiledFunctional, Segment, segment_nodes, total_variation
 from sdde_meansq.renewal import mean_square_trace
 from sdde_meansq.stability import solution_functional_trace
 
@@ -138,6 +138,25 @@ def test_grid_mismatch_rejected_at_every_site(site):
     with pytest.raises(ConfigurationError) as err:
         call()
     assert err.value.code == code
+
+
+#: grids on which -alpha + N h rounds above 0, and one on which it does not
+LAG_ZERO_GRIDS = [(0.3, 0.1), (0.7, 0.1), (0.6, 0.2), (0.7, 1e-3), (1.0, 0.1)]
+
+
+class TestSegmentNodes:
+    @pytest.mark.parametrize("alpha, h", LAG_ZERO_GRIDS + [(0.7, 1e-4)])
+    def test_nodes_start_at_minus_alpha_and_end_at_zero(self, alpha, h):
+        u = segment_nodes(alpha, h)
+        assert u.size == round(alpha / h) + 1
+        assert u[0] == -alpha and u[-1] == 0.0
+        assert np.allclose(np.diff(u), h, rtol=1e-9, atol=0.0)
+
+    @pytest.mark.parametrize("alpha, h", LAG_ZERO_GRIDS)
+    def test_unit_density_weighs_the_lag_zero_node(self, alpha, h):
+        m = SignedMeasure(alpha, density=((-alpha, 1.0), (0.0, 1.0)))
+        fn = CompiledFunctional(m, h)
+        assert fn.value(np.ones(fn.n_intervals + 1), 0) == pytest.approx(alpha, rel=1e-12)
 
 
 class TestTotalVariation:

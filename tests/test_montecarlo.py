@@ -22,6 +22,7 @@ from sdde_meansq import (
     simulate_single_path,
     variation_of_constants_residual,
 )
+from sdde_meansq.errors import BAD_VALUE, ConfigurationError
 from sdde_meansq.measures import CompiledFunctional
 from sdde_meansq.montecarlo import (
     BLOCK,
@@ -29,6 +30,7 @@ from sdde_meansq.montecarlo import (
     DIVERGE_LIMIT,
     RESCALE_BITS,
     _euler_maruyama,
+    _increment_blocks,
     _increments_from_bits,
     _normal_increments,
     _path_key,
@@ -127,14 +129,28 @@ def reference_chunk(f_mu, g_nu, phi_values, n_steps, h, master_seed, lo, hi, til
     return sum_sq, sum_q4, scale, int(np.count_nonzero(bad)), max_sq
 
 
+def lone_chunk(f_mu, g_nu, phi_values, n_steps, h, seed, lo, hi, tilt):
+    """``_simulate_chunk`` of paths [lo, hi), fed by a feed of that chunk alone on this thread."""
+    feed = _increment_blocks(seed, [(lo, hi)], n_steps, h, tilt * h, None)
+    return _simulate_chunk(f_mu, g_nu, phi_values, n_steps, h, tilt, lo, hi, feed)
+
+
 def both_chunks(mu, nu, x0, h, T, seed, lo, hi):
     f_mu, g_nu = CompiledFunctional(mu, h), CompiledFunctional(nu, h)
     tilt = 2.0 * g_nu.atom_at.get(g_nu.n_intervals, 0.0)
     args = (f_mu, g_nu, phi_const(h, x0).values, round(T / h), h, seed, lo, hi, tilt)
-    return _simulate_chunk(*args), reference_chunk(*args)
+    return lone_chunk(*args), reference_chunk(*args)
 
 
 class TestWindowSums:
+    def test_matches_matvec_where_the_last_node_rounds_above_zero(self):
+        # -0.7 + 700 * 1e-3 rounds above 0; the runs and the dense weights
+        # must both give the lag-0 node its weight
+        m = SignedMeasure(0.7, atoms=((0.0, 0.5),), density=((-0.7, 0.5), (0.0, 0.5)))
+        assert CompiledFunctional(m, 1e-3).dens_weights[-1] == 0.5 * 0.5 * 1e-3
+        rng = np.random.default_rng(7)
+        assert_window_sums_match_matvec(m, 1e-3, rng.standard_normal((2 * 700 + 2, 3)))
+
     @pytest.mark.parametrize("density, h", [
         # knots off the grid, with a sign change
         (((-0.837, 0.6), (-0.4113, -0.7), (-0.0671, 0.4)), 0.01),
@@ -382,7 +398,7 @@ class TestSimulateMeanSquare:
         calls = []
 
         def recorded(*args):
-            calls.append((args[:9], chunk(*args)))
+            calls.append((args[:-1], chunk(*args)))
             return calls[-1][1]
 
         monkeypatch.setattr(montecarlo, "_simulate_chunk", recorded)
@@ -391,8 +407,9 @@ class TestSimulateMeanSquare:
         )
         simulate_mean_square(MU_DENSITY, NU_DENSITY_TILTED, phi_const(0.01), cfg)
         assert len(calls) == 3
-        for args, fed in calls:
-            for got, want in zip(fed, chunk(*args)):
+        for (f_mu, g_nu, phi_values, n_steps, h, tilt, lo, hi), fed in calls:
+            alone = lone_chunk(f_mu, g_nu, phi_values, n_steps, h, 6, lo, hi, tilt)
+            for got, want in zip(fed, alone):
                 assert np.array_equal(got, want)
 
     def test_helper_failure_propagates_and_ends_the_helper(self, monkeypatch):
@@ -632,8 +649,25 @@ class TestSimulateMeanSquare:
         assert 1.0 <= peak / (8 * CHUNK * rows) <= 1.05
 
     def test_path_count_floor(self):
-        with pytest.raises(Exception):
+        with pytest.raises(ConfigurationError) as err:
             SimulationConfig(step=0.01, horizon=1.0, path_count=1)
+        assert err.value.code == BAD_VALUE and err.value.field == "paths"
+
+    @pytest.mark.parametrize("field, limit", [
+        ("seed", {"master_seed": -1}),
+        ("seed", {"master_seed": 2**64}),
+        ("workers", {"worker_count": 0}),
+        ("workers", {"worker_count": -3}),
+    ])
+    def test_limits_are_bad_values(self, field, limit):
+        # a seed past 64 bits would draw as the seed it wraps to
+        with pytest.raises(ConfigurationError) as err:
+            SimulationConfig(**{"step": 0.01, "horizon": 1.0, "path_count": 2, **limit})
+        assert err.value.code == BAD_VALUE and err.value.field == field
+
+    def test_limits_admit_their_edges(self):
+        for seed in (0, 2**64 - 1):
+            SimulationConfig(step=0.01, horizon=1.0, path_count=2, master_seed=seed, worker_count=1)
 
 
 def path_residual(mu, nu, phi, cfg, path_index):

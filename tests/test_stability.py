@@ -203,6 +203,19 @@ class TestNormSq:
         assert fine <= 2e-6
         assert 3.5 <= coarse / fine <= 4.5
 
+    def test_density_weight_at_lag_zero_keeps_second_order(self):
+        # G(r_s) is 0.5 on [0, 0.7] and 0.5 e^(0.7 - s) after, so S = 0.175 +
+        # 0.125.  On these grids -0.7 + N h rounds above 0; a lag-0 node read
+        # there drops the density's last weight, and the error only halves
+        mu = SignedMeasure(0.7, atoms=((0.0, -1.0),))
+        nu = SignedMeasure(0.7, atoms=((0.0, 0.5),), density=((-0.7, 0.5), (0.0, 0.5)))
+        coarse, fine = (
+            abs(l2_norm_sq_tail(g_of_r_trace(compute_resolvent(mu, h, 20.0), nu))[0] - 0.3)
+            for h in (1e-3, 5e-4)
+        )
+        assert fine <= 1e-6
+        assert coarse / fine >= 3.5
+
     @given(st.floats(-3.0, -0.2), st.floats(0.0, 2.0), st.floats(0.0, 2.0), st.floats(0.1, 2.0))
     def test_formula_symmetric_in_noise_weights(self, b, c, d, alpha):
         assert example_norm_formula(b, c, d, alpha) == pytest.approx(
