@@ -280,7 +280,10 @@ def with_overrides(
     step: float | None = None,
     horizon: float | None = None,
 ) -> ProblemSpec:
-    """Copy of the spec with CLI-style overrides applied."""
+    """Copy of the spec with CLI-style overrides applied.
+
+    The step and the horizon are checked as their config fields are.
+    """
     out = spec
     if seed is not None or paths is not None:
         mc = spec.mc or McSettings()
@@ -290,7 +293,7 @@ def with_overrides(
             mc = replace(mc, paths=paths)
         out = replace(out, mc=mc)
     if step is not None:
-        out = replace(out, h=step)
+        out = replace(out, h=_number(step, "numerical.h"))
     if horizon is not None:
-        out = replace(out, T=horizon)
+        out = replace(out, T=_number(horizon, "numerical.T"))
     return out

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._g17 import g17_rows
 from .config import ProblemSpec, config_hash
 from .errors import ConfigurationError, NumericalError, SCHEMA_INVALID
 from .montecarlo import MomentEstimate, SimulationConfig, simulate_mean_square
@@ -130,6 +131,10 @@ _CSV_ROWS = 4096
 def emit_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
     """Fixed column order, 17 significant digits, LF line endings.
 
+    Each value is written as ``"%.17g" % x`` writes it.  The text comes from
+    numpy digit generation (``_g17.g17_rows``), which falls back to ``%``
+    for the values whose rounding its double-double product cannot decide.
+
     The first column holds the times.  A non-finite value in any column is
     a NumericalError naming its time, and then no file is written.
     """
@@ -137,13 +142,11 @@ def emit_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
     step = times[1] - times[0] if times.size > 1 else 0.0
     for name, col in zip(header, columns):
         require_finite(col, step, f"{path.name} column {name}")
-    row = ",".join(["%.17g"] * len(columns)) + "\n"
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
         for lo in range(0, times.size, _CSV_ROWS):
-            # one format call per slice, on the slice's values in row order
             values = np.stack([col[lo : lo + _CSV_ROWS] for col in columns], axis=1)
-            fh.write(row * values.shape[0] % tuple(values.ravel().tolist()))
+            fh.write(g17_rows(values))
 
 
 def emit_json(path: Path, doc: dict) -> None:

@@ -1,15 +1,17 @@
 """Quadrature, convolution and grid-matching helpers shared by the solver modules.
 
 Every convolution goes through ``convolve`` and every causal trace (Heun
-steps, renewal solve) through ``solve_causal``.  ``convolve`` sums short
-products directly and long ones by FFT overlap-add: direct when one input
-has at most ``_DIRECT`` points or the inputs have at most
-``_DIRECT * _FFT_BLOCK`` (2**18) products.  On a 2-core VM a 2 x 40000
+steps, renewal solve) through ``solve_causal``.  Inside ``solve_causal``,
+which already holds the errstate ``convolve`` enters, its helpers call the
+bare ``_convolve``: a ``meansquare`` call makes hundreds of them.
+``convolve`` sums short products directly and long ones by FFT overlap-add:
+direct when one input has at most ``_DIRECT`` points or the inputs have at
+most ``_DIRECT * _FFT_BLOCK`` (2**18) products.  On a 2-core VM a 2 x 40000
 convolution took 25-30 us direct and 3 ms by FFT; the FFT first wins near
 1024 x 1024.  FFT round-off is relative to the largest value in a
 transform, so ``times_exp`` tilts data for range on that path.  Values that
-leave the float range come out of both as inf or NaN without a warning,
-and callers check them with ``require_finite``.
+leave the float range come out of both as inf or NaN without a warning, and
+callers check them with ``require_finite``.
 
 A recurrence of reach at most ``_DIRECT`` (Heun on a drift whose only atom
 is at lag 0 has reach one) is homogeneous past its last input, so
@@ -130,6 +132,11 @@ def convolve(a: np.ndarray, b: np.ndarray, n_out: int) -> np.ndarray:
     transforms are overlap-added.  The loop runs over the blocks of ``a``,
     so pass the shorter input first.
     """
+    return _convolve(a, b, n_out)
+
+
+def _convolve(a: np.ndarray, b: np.ndarray, n_out: int) -> np.ndarray:
+    """``convolve`` without its errstate, for callers inside ``solve_causal``'s."""
     a, b = a[:n_out], b[:n_out]
     if min(a.size, b.size) <= _DIRECT or a.size * b.size <= _DIRECT * _FFT_BLOCK:
         out = np.zeros(n_out)
@@ -180,12 +187,12 @@ def require_finite(values: np.ndarray, h: float, what: str) -> np.ndarray:
 def _carry(a: np.ndarray, v: np.ndarray, hi: int) -> np.ndarray:
     """What v[hi - reach:hi] adds to the next reach points under the taps a; v is 0 before 0."""
     w = v[max(0, hi - a.size + 1) : hi]
-    return convolve(w, a, w.size + a.size - 1)[w.size :]
+    return _convolve(w, a, w.size + a.size - 1)[w.size :]
 
 
 def _next_half(a: np.ndarray, e: np.ndarray) -> np.ndarray:
     """The next e.size points of the impulse response e of a: e's carry convolved with e."""
-    return convolve(_carry(a, e, e.size), e, e.size)
+    return _convolve(_carry(a, e, e.size), e, e.size)
 
 
 def _block_response(a: np.ndarray) -> np.ndarray:
@@ -232,7 +239,7 @@ def _homogeneous_tail(a: np.ndarray, e: np.ndarray, y: np.ndarray, lo: int) -> n
         e = np.concatenate((e, more))
     while lo < n:
         hi = min(lo + e.size, n)
-        y[lo:hi] = convolve(y[lo : lo + reach], e, hi - lo)
+        y[lo:hi] = _convolve(y[lo : lo + reach], e, hi - lo)
         end = min(hi + reach, n)
         y[hi:end] += _carry(a, y, hi)[: end - hi]
         lo = hi
@@ -262,7 +269,7 @@ def solve_causal(a: np.ndarray, y: np.ndarray, start: int) -> np.ndarray:
     if start >= n or reach < 1:
         return y
     end, left = min(n, start + reach), max(0, start - reach)
-    y[start:end] += convolve(y[left:start], a[: end - left], end - left)[start - left :]
+    y[start:end] += _convolve(y[left:start], a[: end - left], end - left)[start - left :]
     e = _block_response(a)
     inverse = np.append(e, 0.0)[_LAGS]
     last = _input_end(y, start) if reach <= _DIRECT else n
@@ -275,7 +282,7 @@ def solve_causal(a: np.ndarray, y: np.ndarray, start: int) -> np.ndarray:
         half = _BASE * ((j + 1) & -(j + 1))
         end, left = min(hi + half, hi + reach, n), max(hi - half, hi - reach)
         if hi < end:
-            y[hi:end] += convolve(y[left:hi], a[: end - left], end - left)[hi - left :]
+            y[hi:end] += _convolve(y[left:hi], a[: end - left], end - left)[hi - left :]
         if last <= hi < n:
             return _homogeneous_tail(a, e, y, hi)
     return y

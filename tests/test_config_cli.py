@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from sdde_meansq import parse_config, run_pipeline
+from sdde_meansq._g17 import _E_MAX, _E_MIN
 from sdde_meansq.cli import main as cli_main
 from sdde_meansq.config import config_hash, serialize_spec, with_overrides
 from sdde_meansq.errors import ConfigurationError, NumericalError
@@ -155,6 +156,73 @@ class TestEmitCsv:
         with pytest.raises(NumericalError, match=r"column value .* t = 0\.75"):
             emit_csv(p, ["t", "value"], [t, v])
         assert not p.exists()
+
+
+class TestEmitCsvDifferential:
+    """Every byte of emit_csv against format(x, ".17g"), row by row."""
+
+    @staticmethod
+    def _assert_rows_match(tmp_path, *values):
+        cols = [np.arange(values[0].size) * 0.5] + [np.asarray(v, dtype=float) for v in values]
+        p = tmp_path / "digits.csv"
+        emit_csv(p, [f"c{k}" for k in range(len(cols))], cols)
+        lines = p.read_bytes().decode().split("\n")
+        assert lines[-1] == "" and len(lines) == cols[0].size + 2
+        for i, line in enumerate(lines[1:-1]):
+            expected = ",".join(format(float(c[i]), ".17g") for c in cols)
+            assert line == expected, f"row {i}"
+
+    def test_random_bit_patterns(self, tmp_path):
+        bits = np.random.default_rng(19).integers(0, 2**64, 2 * 10**5, dtype=np.uint64)
+        x = bits.view(np.float64)
+        x = x[np.isfinite(x)]
+        assert (x < 0).sum() > 90_000 and (x > 0).sum() > 90_000
+        self._assert_rows_match(tmp_path, x[: x.size // 2], x[x.size // 2 : 2 * (x.size // 2)])
+
+    def test_powers_of_ten_and_their_neighbours(self, tmp_path):
+        # log10 of a neighbour can round to the power's exponent
+        p = np.array([float(f"1e{k}") for k in range(-323, 309)])
+        below, above = np.nextafter(p, 0.0), np.nextafter(p, np.inf)
+        self._assert_rows_match(tmp_path, p, below, above, -below)
+
+    def test_exact_halfway_cases(self, tmp_path):
+        # at E = 15 - j the 18th digit of N + odd / 2^(j + 2) is an exact 5,
+        # which %.17g rounds half-even: 1e15 + 0.25 prints ...0.2
+        rng = np.random.default_rng(23)
+        ties = [1e15 + 0.25, 1e15 + 0.75, 2.0**50 + 0.25]
+        for j in range(5):
+            whole = rng.integers(10 ** (15 - j), 10 ** (16 - j), 2000).astype(float)
+            odd = 2 * rng.integers(0, 2 ** (j + 1), 2000) + 1
+            ties.extend(whole + odd / 2.0 ** (j + 2))
+        ties = np.array(ties)
+        self._assert_rows_match(tmp_path, ties, -ties)
+
+    def test_notation_switch(self, tmp_path):
+        # fixed notation for -4 <= E < 17, exponent notation outside
+        rng = np.random.default_rng(29)
+        x = np.concatenate([
+            (1.0 + 9.0 * rng.random(500)) * 10.0**e for e in (-6, -5, -4, -3, 15, 16, 17, 18)
+        ] + [np.array([1e-5, 1e-4, 9.9999e-5, 1e16, 1e17, 12345678901234567.0, 100.0, 0.5])])
+        self._assert_rows_match(tmp_path, x, -x, np.round(x))
+
+    def test_extremes(self, tmp_path):
+        tiny = np.finfo(float).smallest_subnormal
+        x = np.array([0.0, -0.0, tiny, -tiny, 2.0**-1022, np.nextafter(2.0**-1022, 0.0),
+                      np.finfo(float).max, -np.finfo(float).max, 1e-300, 1e300, 1.0, -1.0])
+        self._assert_rows_match(tmp_path, x, x[::-1])
+
+    def test_row_order_holds_around_fallback_values(self, tmp_path):
+        # every other value of the first column lies outside the fast path's
+        # exponents (subnormal or near overflow) and is formatted by %
+        rng = np.random.default_rng(31)
+        n = 2 * _CSV_ROWS + 5
+        slow = np.where(rng.random(n) < 0.5, 5e-324 * rng.integers(1, 2**40, n),
+                        1e300 * (1.0 + rng.random(n)))
+        fast = rng.standard_normal(n) * 10.0 ** rng.integers(-20, 20, n)
+        mixed = np.where(np.arange(n) % 2 == 0, slow, fast)
+        e = np.floor(np.log10(slow))
+        assert ((e < _E_MIN) | (e > _E_MAX)).all()
+        self._assert_rows_match(tmp_path, mixed, fast)
 
 
 def _write(tmp_path, document, name="prob.json"):
@@ -370,6 +438,20 @@ class TestCli:
         assert capsys.readouterr().err.startswith(
             "config error [BAD_VALUE]: numerical.mc.paths: must be at least 2, got 1"
         )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("flag, field", [("--step", "numerical.h"), ("--horizon", "numerical.T")])
+    def test_non_finite_grid_flag_is_a_configuration_error(self, tmp_path, capsys, flag, field,
+                                                          value):
+        # the flags pass the check their config fields pass; "--step -inf"
+        # would read -inf as a flag, so the value is attached with "="
+        cfg = _write(tmp_path, GBM)
+        out = tmp_path / "out"
+        assert cli_main(["classify", "--config", cfg, "--out", str(out), f"{flag}={value}"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error [BAD_VALUE]: {field}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
         assert not out.exists()
 
     def test_simulate_requires_mc_settings(self, tmp_path):
