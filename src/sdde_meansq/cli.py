@@ -3,8 +3,9 @@
     sdde-meansq <classify|resolvent|meansquare|simulate|compare>
         --config FILE [--out DIR] [--seed N] [--paths M] [--step H] [--horizon T]
 
-Flags override the corresponding config fields; SDDE_MEANSQ_THREADS caps
-the simulation's thread budget.  One parser serves every call of a process.
+Flags override the corresponding config fields; SDDE_MEANSQ_THREADS, when
+set, is an integer of at least 1 that caps the simulation's thread budget.
+One parser serves every call of a process.
 Exit codes: 0 success, 1 configuration error (a usage error, an unreadable
 config or an --out that is a file included), 2 uncertified classification,
 3 numerical failure.
@@ -36,9 +37,24 @@ _PARSER.add_argument("--step", type=float, help="grid step override")
 _PARSER.add_argument("--horizon", type=float, help="horizon override")
 
 
+def _attach_values(argv: list[str]) -> list[str]:
+    """Join --step and --horizon to the token after them.
+
+    argparse reads a separate "-inf", "-nan" or "-1e-3" as a flag; joined
+    as "--step=-inf" it reaches the value check like any other value.
+    """
+    out = []
+    for arg in argv:
+        if out and out[-1] in ("--step", "--horizon"):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     try:
-        args = _PARSER.parse_args(argv)
+        args = _PARSER.parse_args(_attach_values(sys.argv[1:] if argv is None else argv))
         spec = with_overrides(
             parse_config(Path(args.config).read_text()),
             seed=args.seed, paths=args.paths, step=args.step, horizon=args.horizon,

@@ -20,7 +20,7 @@ and the offending field path.
 import hashlib
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -31,9 +31,9 @@ from .errors import (
     SCHEMA_INVALID,
     ConfigurationError,
 )
-from .measures import CompiledFunctional, Segment, SignedMeasure, segment_nodes
+from .measures import CompiledFunctional, Segment, SignedMeasure
 from .montecarlo import check_mc_limits
-from .quadrature import exact_divisions, require_match
+from .quadrature import exact_divisions, require_match, require_positive
 
 
 @dataclass(frozen=True)
@@ -56,7 +56,7 @@ class PhiSpec:
     def expand(self, alpha: float, h: float) -> Segment:
         fn = self.sampler()
         if fn is not None:
-            return Segment(alpha, h, fn(segment_nodes(alpha, h)))
+            return Segment.sample(alpha, h, fn)
         n = exact_divisions(alpha, h, "alpha")
         if len(self.samples) != n + 1:
             raise ConfigurationError(
@@ -98,13 +98,14 @@ class ProblemSpec:
                 m.alpha, self.alpha, ALPHA_MISMATCH, "mu and nu must live on [-alpha, 0]",
                 field="alpha",
             )
-        exact_divisions(self.alpha, self.h, "alpha")
-        exact_divisions(self.T, self.h, "horizon T")
-        # surfaces off-grid atoms at parse time
+        require_positive(self.h, "numerical.h")
+        require_positive(self.T, "numerical.T")
+        if self.band is not None:
+            require_positive(self.band, "numerical.band")
+        # surfaces a step that does not divide alpha, and off-grid atoms, at parse time
         CompiledFunctional(self.mu, self.h)
         CompiledFunctional(self.nu, self.h)
-        if self.band is not None and self.band <= 0.0:
-            raise ConfigurationError(BAD_VALUE, "band must be positive", field="numerical.band")
+        exact_divisions(self.T, self.h, "horizon T")
 
     def phi_segment(self) -> Segment:
         return self.phi.expand(self.alpha, self.h)
@@ -172,6 +173,8 @@ def _measure(obj, alpha: float, field: str) -> SignedMeasure:
     try:
         return SignedMeasure(alpha, atoms, density)
     except ConfigurationError as exc:
+        if exc.field is not None:
+            raise
         raise ConfigurationError(exc.code, str(exc), field=field) from None
 
 
@@ -213,11 +216,7 @@ def parse_config(text: str) -> ProblemSpec:
     mc = None
     if num.get("mc") is not None:
         mcd = _object(num["mc"], "numerical.mc", ("paths", "seed", "workers"))
-        mc = McSettings(
-            paths=_integer(mcd.get("paths", 1000), "numerical.mc.paths"),
-            seed=_integer(mcd.get("seed", 0), "numerical.mc.seed"),
-            workers=_integer(mcd.get("workers", 1), "numerical.mc.workers"),
-        )
+        mc = McSettings(**{k: _integer(v, f"numerical.mc.{k}") for k, v in mcd.items()})
     return ProblemSpec(
         alpha=alpha,
         mu=_measure(doc["mu"], alpha, "mu"),
@@ -253,11 +252,7 @@ def serialize_spec(spec: ProblemSpec) -> dict:
     if spec.band is not None:
         numerical["band"] = spec.band
     if spec.mc is not None:
-        numerical["mc"] = {
-            "paths": spec.mc.paths,
-            "seed": spec.mc.seed,
-            "workers": spec.mc.workers,
-        }
+        numerical["mc"] = asdict(spec.mc)
     return {
         "alpha": spec.alpha,
         "mu": measure_dict(spec.mu),
@@ -282,18 +277,11 @@ def with_overrides(
 ) -> ProblemSpec:
     """Copy of the spec with CLI-style overrides applied.
 
-    The step and the horizon are checked as their config fields are.
+    The copy is checked as a whole: the step and the horizon pass the rules
+    of their config fields together.
     """
-    out = spec
-    if seed is not None or paths is not None:
-        mc = spec.mc or McSettings()
-        if seed is not None:
-            mc = replace(mc, seed=seed)
-        if paths is not None:
-            mc = replace(mc, paths=paths)
-        out = replace(out, mc=mc)
-    if step is not None:
-        out = replace(out, h=_number(step, "numerical.h"))
-    if horizon is not None:
-        out = replace(out, T=_number(horizon, "numerical.T"))
-    return out
+    changes = {k: float(v) for k, v in (("h", step), ("T", horizon)) if v is not None}
+    mc = {k: v for k, v in (("seed", seed), ("paths", paths)) if v is not None}
+    if mc:
+        changes["mc"] = replace(spec.mc or McSettings(), **mc)
+    return replace(spec, **changes) if changes else spec

@@ -1,5 +1,15 @@
 """Exception types and machine-readable error codes."""
 
+# Error codes used by ConfigurationError.
+SCHEMA_INVALID = "SCHEMA_INVALID"
+GRID_MISALIGNED = "GRID_MISALIGNED"
+ALPHA_MISMATCH = "ALPHA_MISMATCH"
+ATOM_OFF_GRID = "ATOM_OFF_GRID"
+PHI_SAMPLES_MISMATCH = "PHI_SAMPLES_MISMATCH"
+STEP_TOO_LARGE = "STEP_TOO_LARGE"
+BAD_VALUE = "BAD_VALUE"
+USAGE = "USAGE"
+
 
 class ToolError(Exception):
     """Base class for every error raised by this package."""
@@ -22,19 +32,8 @@ class AtomAlignmentError(ConfigurationError):
     """A point mass does not sit on the evaluation grid."""
 
     def __init__(self, message: str, field: str | None = None):
-        super().__init__("ATOM_OFF_GRID", message, field)
+        super().__init__(ATOM_OFF_GRID, message, field)
 
 
 class NumericalError(ToolError):
     """A solver failed: negative second moment, bracket failure, bad kernel moment."""
-
-
-# Error codes used by ConfigurationError.
-SCHEMA_INVALID = "SCHEMA_INVALID"
-GRID_MISALIGNED = "GRID_MISALIGNED"
-ALPHA_MISMATCH = "ALPHA_MISMATCH"
-ATOM_OFF_GRID = "ATOM_OFF_GRID"
-PHI_SAMPLES_MISMATCH = "PHI_SAMPLES_MISMATCH"
-STEP_TOO_LARGE = "STEP_TOO_LARGE"
-BAD_VALUE = "BAD_VALUE"
-USAGE = "USAGE"

@@ -34,8 +34,8 @@ class SignedMeasure:
     density: tuple = ()
 
     def __post_init__(self):
-        if self.alpha < 0.0:
-            raise ConfigurationError(BAD_VALUE, f"alpha must be >= 0, got {self.alpha}")
+        if not self.alpha >= 0.0:
+            raise ConfigurationError(BAD_VALUE, f"must be >= 0, got {self.alpha}", field="alpha")
         object.__setattr__(self, "atoms", tuple((float(l), float(w)) for l, w in self.atoms))
         object.__setattr__(self, "density", tuple((float(l), float(v)) for l, v in self.density))
         slack = DIV_RTOL * max(1.0, self.alpha)
@@ -103,6 +103,11 @@ class Segment:
                 f"segment needs {n + 1} values for alpha={self.alpha}, h={self.step}; "
                 f"got {self.values.shape[0]}",
             )
+
+    @classmethod
+    def sample(cls, alpha: float, h: float, fn) -> "Segment":
+        """The callable ``fn``, mapping an array of times in [-alpha, 0] to values, on the grid."""
+        return cls(alpha, h, fn(segment_nodes(alpha, h)))
 
 
 class CompiledFunctional:
@@ -209,8 +214,10 @@ class CompiledFunctional:
         N = self.n_intervals
         out_len = padded.size - N
         out = np.zeros(out_len)
+        # each atom's product goes through one buffer, bit for bit w * x
+        tmp = np.empty(out_len)
         for off, w in self.atom_at.items():
-            out += w * padded[off : off + out_len]
+            out += np.multiply(w, padded[off : off + out_len], out=tmp)
         if self.dens_weights is not None:
             out += convolve(self.dens_weights[::-1], padded, padded.size)[N:]
         return out

@@ -44,7 +44,7 @@ import numpy as np
 
 from .errors import ConfigurationError, BAD_VALUE, GRID_MISALIGNED
 from .measures import CompiledFunctional, Segment, SignedMeasure
-from .quadrature import convolve, exact_divisions, require_match
+from .quadrature import convolve, exact_divisions, require_match, require_positive
 from .resolvent import HistoryTable
 
 #: paths per work unit; fixed so reductions are scheduling-independent
@@ -62,19 +62,21 @@ BLOCK = 256
 _U64 = (1 << 64) - 1
 
 
+def _at_least(value: int, least: int, field: str) -> None:
+    if value < least:
+        raise ConfigurationError(BAD_VALUE, f"must be at least {least}, got {value}", field=field)
+
+
 def check_mc_limits(paths: int, seed: int, workers: int, prefix: str = "") -> None:
     """The limits of a Monte Carlo run; a value past one is BAD_VALUE on field prefix + name.
 
     A path's stream key holds the seed in 64 bits, so any other seed would
     give the draws of the seed it wraps to.
     """
-    for name, value, ok, rule in (
-        ("paths", paths, paths >= 2, "must be at least 2"),
-        ("seed", seed, 0 <= seed < 2**64, "must lie in [0, 2**64)"),
-        ("workers", workers, workers >= 1, "must be at least 1"),
-    ):
-        if not ok:
-            raise ConfigurationError(BAD_VALUE, f"{rule}, got {value}", field=prefix + name)
+    _at_least(paths, 2, prefix + "paths")
+    if not 0 <= seed < 2**64:
+        raise ConfigurationError(BAD_VALUE, f"must lie in [0, 2**64), got {seed}", prefix + "seed")
+    _at_least(workers, 1, prefix + "workers")
 
 
 @dataclass(frozen=True)
@@ -88,8 +90,8 @@ class SimulationConfig:
     worker_count: int = 1
 
     def __post_init__(self):
-        if self.step <= 0.0 or self.horizon <= 0.0:
-            raise ConfigurationError(BAD_VALUE, "step and horizon must be positive")
+        require_positive(self.step, "step")
+        require_positive(self.horizon, "horizon")
         check_mc_limits(self.path_count, self.master_seed, self.worker_count)
 
 
@@ -260,13 +262,17 @@ class _WindowSums:
 
 
 def _thread_budget(workers: int) -> int:
-    env = os.environ.get("SDDE_MEANSQ_THREADS")
-    if env:
-        try:
-            return min(workers, max(1, int(env)))
-        except ValueError:
-            pass
-    return workers
+    """``workers`` capped by SDDE_MEANSQ_THREADS, which when set obeys the rule of workers."""
+    name = "SDDE_MEANSQ_THREADS"
+    env = os.environ.get(name)
+    if not env:
+        return workers
+    try:
+        cap = int(env)
+    except ValueError:
+        raise ConfigurationError(BAD_VALUE, f"must be an integer, got {env!r}", name) from None
+    _at_least(cap, 1, name)
+    return min(workers, cap)
 
 
 def _euler_maruyama(drift, noise, dw, h, n_hist, start=0):

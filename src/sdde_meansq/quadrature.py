@@ -31,7 +31,7 @@ import math
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericalError, GRID_MISALIGNED
+from .errors import ConfigurationError, NumericalError, BAD_VALUE, GRID_MISALIGNED
 
 #: relative tolerance for "h divides this span exactly"
 DIV_RTOL = 1e-12
@@ -53,11 +53,16 @@ _LAGS = np.subtract.outer(np.arange(_BASE), np.arange(_BASE))
 _LAGS[_LAGS < 0] = _BASE
 
 
+def require_positive(value: float, field: str) -> float:
+    """A step, horizon or band ``value``; BAD_VALUE on ``field`` unless positive and finite."""
+    if not 0.0 < value < math.inf:
+        raise ConfigurationError(BAD_VALUE, f"must be positive and finite, got {value}", field)
+    return value
+
+
 def exact_divisions(span: float, h: float, what: str = "span") -> int:
     """Number of steps of size ``h`` in ``span``, requiring exact divisibility."""
-    if h <= 0.0:
-        raise ConfigurationError(GRID_MISALIGNED, f"step must be positive, got {h}")
-    n = round(span / h)
+    n = round(span / require_positive(h, "step"))
     if n < 0 or abs(span - n * h) > DIV_RTOL * max(abs(span), h):
         raise ConfigurationError(
             GRID_MISALIGNED, f"step {h} does not divide {what} {span} exactly"

@@ -19,9 +19,11 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericalError, ALPHA_MISMATCH, BAD_VALUE
-from .measures import CompiledFunctional, Segment, SignedMeasure, segment_nodes, total_variation
-from .quadrature import corrected_trapezoid, exact_divisions, require_match, times_exp
+from .errors import NumericalError, ALPHA_MISMATCH
+from .measures import CompiledFunctional, Segment, SignedMeasure, total_variation
+from .quadrature import (
+    corrected_trapezoid, exact_divisions, require_match, require_positive, times_exp,
+)
 from .resolvent import GridTrace, HistoryTable, deterministic_solution
 
 SUBCRITICAL = "SUBCRITICAL"
@@ -98,8 +100,7 @@ def classify(norm_sq: float, truncation_error: float, band: float | None = None)
     margin = 3.0 * truncation_error
     if band is None:
         band, margin = max(1e-3, margin), 0.0
-    if band <= 0.0:
-        raise ConfigurationError(BAD_VALUE, f"band must be positive, got {band}")
+    require_positive(band, "band")
     if band < abs(norm_sq - 1.0) <= band + margin:
         return UNCERTIFIED
     if norm_sq < 1.0 - band:
@@ -215,13 +216,10 @@ def detect_degenerate(
     """
     alpha = mu.alpha
     if callable(phi):
-        if alpha > 0.0:
-            n_seg = exact_divisions(alpha, h, "alpha")
-            k = max(1, -(-_DETECT_NODES // n_seg))
-        else:
-            k = 1
+        n_seg = exact_divisions(alpha, h, "alpha")
+        k = max(1, -(-_DETECT_NODES // n_seg)) if n_seg else 1
         h_det = h / k
-        phi_seg = Segment(alpha, h_det, np.asarray(phi(segment_nodes(alpha, h_det)), dtype=float))
+        phi_seg = Segment.sample(alpha, h_det, phi)
     else:
         phi_seg = phi
         h_det = phi.step

@@ -12,7 +12,7 @@ from sdde_meansq._g17 import _E_MAX, _E_MIN
 from sdde_meansq.cli import main as cli_main
 from sdde_meansq.config import config_hash, serialize_spec, with_overrides
 from sdde_meansq.errors import ConfigurationError, NumericalError
-from sdde_meansq.pipeline import _CSV_ROWS, emit_csv
+from sdde_meansq.pipeline import _CSV_ROWS, COMMANDS, emit_csv
 
 GBM = {
     "alpha": 1,
@@ -63,6 +63,9 @@ class TestParseConfig:
         with pytest.raises(ConfigurationError) as err:
             parse_config(json.dumps(doc(mu={"atoms": [[0, "x"]]})))
         assert "mu.atoms[0]" in str(err.value)
+        with pytest.raises(ConfigurationError) as err:
+            parse_config(json.dumps(doc(alpha=-1)))
+        assert err.value.field == "alpha" and str(err.value) == "alpha: must be >= 0, got -1.0"
         with pytest.raises(ConfigurationError):
             parse_config("not json")
 
@@ -99,6 +102,10 @@ class TestParseConfig:
         out = with_overrides(spec, seed=9, paths=50, step=0.01, horizon=5.0)
         assert out.mc.seed == 9 and out.mc.paths == 50
         assert out.h == 0.01 and out.T == 5.0
+        # checked together: the step 0.2 divides the new horizon 3, not the old 2.5
+        spec = parse_config(json.dumps(doc(numerical={"h": 0.01, "T": 2.5})))
+        out = with_overrides(spec, step=0.2, horizon=3.0)
+        assert (out.h, out.T) == (0.2, 3.0)
 
 
 class TestEmitCsv:
@@ -417,18 +424,47 @@ class TestCli:
         assert capsys.readouterr().err.startswith("config error [BAD_VALUE]: numerical.mc.seed: ")
         assert not (out / "meansq_mc.csv").exists()
 
-    @pytest.mark.parametrize("command", ["classify", "simulate"])
-    @pytest.mark.parametrize("mc, field", [
-        ({"paths": 1}, "paths"), ({"workers": 0}, "workers"), ({"workers": -3}, "workers"),
-    ], ids=["paths-1", "workers-0", "workers-minus-3"])
-    def test_mc_limits_fail_every_command(self, tmp_path, capsys, command, mc, field):
-        # the mc block is checked when the config is read, simulated or not
-        cfg = _write(tmp_path, doc(numerical={"h": 0.01, "T": 1, "mc": {"paths": 16, **mc}}))
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("numerical, flags, field", [
+        ({"mc": {"paths": 1}}, [], "mc.paths"),
+        ({"mc": {"workers": 0}}, [], "mc.workers"),
+        ({"mc": {"workers": -3}}, [], "mc.workers"),
+        ({"T": 0}, [], "T"),
+        ({"T": -1}, [], "T"),
+        ({"h": 0}, [], "h"),
+        ({"h": -0.01}, [], "h"),
+        ({"band": 0}, [], "band"),
+        ({}, ["--horizon", "0"], "T"),
+    ], ids=["paths-1", "workers-0", "workers-minus-3", "T-0", "T-minus-1", "h-0", "h-minus-0.01",
+            "band-0", "horizon-flag-0"])
+    def test_mc_limits_fail_every_command(self, tmp_path, capsys, command, numerical, flags,
+                                          field):
+        # the numerical block, the mc block in it and the flags are checked
+        # when the config is read, whatever the command
+        mc = {"paths": 16, **numerical.get("mc", {})}
+        cfg = _write(tmp_path, doc(numerical={"h": 0.01, "T": 1, **numerical, "mc": mc}))
+        out = tmp_path / "out"
+        assert cli_main([command, "--config", cfg, "--out", str(out), *flags]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error [BAD_VALUE]: numerical.{field}: ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    @pytest.mark.parametrize("cap, rule", [
+        ("abc", "must be an integer, got 'abc'"), ("2.5", "must be an integer, got '2.5'"),
+        ("0", "must be at least 1, got 0"), ("-2", "must be at least 1, got -2"),
+    ], ids=["abc", "2.5", "0", "minus-2"])
+    def test_thread_cap_outside_its_rule_is_a_configuration_error(
+        self, tmp_path, capsys, monkeypatch, command, cap, rule
+    ):
+        monkeypatch.setenv("SDDE_MEANSQ_THREADS", cap)
+        cfg = _write(tmp_path, doc(numerical={"h": 0.01, "T": 1, "mc": {"paths": 16}}))
         out = tmp_path / "out"
         assert cli_main([command, "--config", cfg, "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"config error [BAD_VALUE]: numerical.mc.{field}: ")
-        assert not out.exists()
+        assert err == f"config error [BAD_VALUE]: SDDE_MEANSQ_THREADS: {rule}\n"
+        assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("command", ["classify", "simulate"])
     def test_paths_flag_below_two_is_a_configuration_error(self, tmp_path, capsys, command):
@@ -444,15 +480,24 @@ class TestCli:
     @pytest.mark.parametrize("flag, field", [("--step", "numerical.h"), ("--horizon", "numerical.T")])
     def test_non_finite_grid_flag_is_a_configuration_error(self, tmp_path, capsys, flag, field,
                                                           value):
-        # the flags pass the check their config fields pass; "--step -inf"
-        # would read -inf as a flag, so the value is attached with "="
+        # the flags pass the check their config fields pass, the value given
+        # with "=" or as the next token, which argparse alone reads as a flag
         cfg = _write(tmp_path, GBM)
         out = tmp_path / "out"
-        assert cli_main(["classify", "--config", cfg, "--out", str(out), f"{flag}={value}"]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"config error [BAD_VALUE]: {field}: ")
-        assert err.count("\n") == 1 and "Traceback" not in err
-        assert not out.exists()
+        for given in ([f"{flag}={value}"], [flag, value]):
+            assert cli_main(["classify", "--config", cfg, "--out", str(out), *given]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"config error [BAD_VALUE]: {field}: ")
+            assert err.count("\n") == 1 and "Traceback" not in err
+            assert not out.exists()
+
+    def test_negative_flag_values_read_as_values(self, tmp_path, capsys):
+        cfg = _write(tmp_path, GBM)
+        for flag, value, field in (("--step", "-0.5", "h"), ("--horizon", "-1e-3", "T")):
+            assert cli_main(["classify", "--config", cfg, flag, value]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"config error [BAD_VALUE]: numerical.{field}: ")
+            assert err.endswith(f"got {float(value)}\n")
 
     def test_simulate_requires_mc_settings(self, tmp_path):
         cfg = _write(tmp_path, doc(numerical={"h": 0.01, "T": 1}))

@@ -19,6 +19,7 @@ from sdde_meansq import (
 from sdde_meansq.config import ProblemSpec
 from sdde_meansq.errors import AtomAlignmentError, ConfigurationError
 from sdde_meansq.measures import CompiledFunctional, Segment, segment_nodes, total_variation
+from sdde_meansq.quadrature import convolve
 from sdde_meansq.renewal import mean_square_trace
 from sdde_meansq.stability import solution_functional_trace
 
@@ -183,6 +184,24 @@ class TestTotalVariation:
 
 
 class TestTrace:
+    def test_atom_products_match_the_allocating_form(self):
+        # the reused product buffer keeps every bit, -0.0 products included
+        h = 0.1
+        m = SignedMeasure(1.0, atoms=((0.0, -1.5), (-0.3, 0.0), (-1.0, 2.0 / 3.0)),
+                          density=((-0.6, 0.5), (-0.2, -1.0)))
+        F = CompiledFunctional(m, h)
+        rng = np.random.default_rng(5)
+        padded = rng.standard_normal(400) * 10.0 ** rng.integers(-300, 300, 400)
+        padded[::7] = 0.0
+        padded[3::11] = -0.0
+        ref = np.zeros(padded.size - F.n_intervals)
+        for off, w in F.atom_at.items():
+            ref += w * padded[off : off + ref.size]
+        ref += convolve(F.dens_weights[::-1], padded, padded.size)[F.n_intervals :]
+        assert np.array_equal(F.trace(padded).view(np.int64), ref.view(np.int64))
+        atoms = CompiledFunctional(SignedMeasure(1.0, atoms=((0.0, -1.0),)), h)
+        assert np.signbit(atoms.trace(np.zeros(20))).sum() == 0
+
     def test_density_part_matches_direct_correlation(self):
         # a growing trace: the block convolution stays relative to its window
         h = 1e-3

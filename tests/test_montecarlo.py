@@ -331,10 +331,13 @@ class TestSimulateMeanSquare:
         assert one.max_path_share == two.max_path_share
         assert one.diverged_paths == two.diverged_paths == 0
 
-    @pytest.mark.parametrize("workers, cap, helpers", [(1, None, 0), (2, None, 1), (8, "4", 1)])
+    @pytest.mark.parametrize("workers, cap, helpers", [
+        (1, None, 0), (2, None, 1), (8, "4", 1), (2, "", 1), (8, "1", 0),
+    ])
     def test_helper_threads_end_with_the_call(self, monkeypatch, workers, cap, helpers):
         # 600 steps are three blocks and CHUNK + 5 paths two chunks: six
-        # transforms, all on the one helper of a budget of two or more
+        # transforms, all on the one helper of a budget of two or more; an
+        # empty cap caps nothing
         if cap is None:
             monkeypatch.delenv("SDDE_MEANSQ_THREADS", raising=False)
         else:
@@ -658,6 +661,10 @@ class TestSimulateMeanSquare:
         ("seed", {"master_seed": 2**64}),
         ("workers", {"worker_count": 0}),
         ("workers", {"worker_count": -3}),
+        ("step", {"step": math.nan}),
+        ("step", {"step": math.inf}),
+        ("horizon", {"horizon": math.nan}),
+        ("horizon", {"horizon": math.inf}),
     ])
     def test_limits_are_bad_values(self, field, limit):
         # a seed past 64 bits would draw as the seed it wraps to

@@ -132,6 +132,12 @@ class TestComputeResolvent:
             compute_resolvent(mu, 0.3, 1.0)
         assert err.value.code == "GRID_MISALIGNED"
 
+    @pytest.mark.parametrize("h", [0.0, -0.1, math.nan, math.inf])
+    def test_step_must_be_positive_and_finite(self, h):
+        with pytest.raises(ConfigurationError) as err:
+            compute_resolvent(SignedMeasure(1.0, atoms=((0.0, -1.0),)), h, 1.0)
+        assert err.value.code == "BAD_VALUE" and err.value.field == "step"
+
     def test_convergence_factor_on_halving(self):
         mu = SignedMeasure(1.0, atoms=((0.0, -0.7),))
         errs = []

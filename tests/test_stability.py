@@ -27,7 +27,7 @@ from sdde_meansq import (
 )
 from sdde_meansq.cli import main as cli_main
 from sdde_meansq import renewal
-from sdde_meansq.errors import NumericalError
+from sdde_meansq.errors import ConfigurationError, NumericalError
 from sdde_meansq.measures import CompiledFunctional
 from sdde_meansq.quadrature import corrected_trapezoid
 from sdde_meansq.stability import (
@@ -261,6 +261,13 @@ class TestClassify:
         assert classify(0.9685, 0.01, 1e-3) == SUBCRITICAL
         # inside the band the label is CRITICAL whatever the truncation
         assert classify(1.0005, 0.01, 1e-3) == CRITICAL
+
+    @pytest.mark.parametrize("band", [0.0, -1e-3, math.nan, math.inf])
+    def test_given_band_must_be_positive_and_finite(self, band):
+        # a NaN band would label every statistic CRITICAL
+        with pytest.raises(ConfigurationError) as err:
+            classify(0.5, 0.0, band)
+        assert err.value.code == "BAD_VALUE" and err.value.field == "band"
 
 
 class TestExponents:
