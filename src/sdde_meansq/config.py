@@ -24,15 +24,9 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .errors import (
-    ALPHA_MISMATCH,
-    BAD_VALUE,
-    PHI_SAMPLES_MISMATCH,
-    SCHEMA_INVALID,
-    ConfigurationError,
-)
+from .errors import ALPHA_MISMATCH, BAD_VALUE, SCHEMA_INVALID, ConfigurationError
 from .measures import CompiledFunctional, Segment, SignedMeasure
-from .montecarlo import check_mc_limits
+from .montecarlo import McSettings
 from .quadrature import exact_divisions, require_match, require_positive
 
 
@@ -55,28 +49,7 @@ class PhiSpec:
 
     def expand(self, alpha: float, h: float) -> Segment:
         fn = self.sampler()
-        if fn is not None:
-            return Segment.sample(alpha, h, fn)
-        n = exact_divisions(alpha, h, "alpha")
-        if len(self.samples) != n + 1:
-            raise ConfigurationError(
-                PHI_SAMPLES_MISMATCH,
-                f"phi.samples has {len(self.samples)} entries; grid needs {n + 1}",
-                field="phi.samples",
-            )
-        return Segment(alpha, h, np.array(self.samples, dtype=float))
-
-
-@dataclass(frozen=True)
-class McSettings:
-    """Monte Carlo block of the config."""
-
-    paths: int = 1000
-    seed: int = 0
-    workers: int = 1
-
-    def __post_init__(self):
-        check_mc_limits(self.paths, self.seed, self.workers, "numerical.mc.")
+        return Segment(alpha, h, self.samples) if fn is None else Segment.sample(alpha, h, fn)
 
 
 @dataclass(frozen=True)
@@ -106,9 +79,12 @@ class ProblemSpec:
         CompiledFunctional(self.mu, self.h)
         CompiledFunctional(self.nu, self.h)
         exact_divisions(self.T, self.h, "horizon T")
+        # the segment is part of the problem; replace() builds it anew
+        segment = _named(f"phi.{self.phi.kind}", self.phi.expand, self.alpha, self.h)
+        object.__setattr__(self, "_segment", segment)
 
     def phi_segment(self) -> Segment:
-        return self.phi.expand(self.alpha, self.h)
+        return self._segment
 
 
 def aligned_step(alpha: float, h_request: float) -> float:
@@ -166,16 +142,21 @@ def _object(obj, field: str, keys, required=()) -> dict:
     return obj
 
 
-def _measure(obj, alpha: float, field: str) -> SignedMeasure:
-    obj = _object({} if obj is None else obj, field, ("atoms", "density"))
-    atoms = _pairs(obj.get("atoms", []), f"{field}.atoms")
-    density = _pairs(obj.get("density", []), f"{field}.density")
+def _named(field: str, build, *args):
+    """``build(*args)``, a ConfigurationError that names no field being given ``field``."""
     try:
-        return SignedMeasure(alpha, atoms, density)
+        return build(*args)
     except ConfigurationError as exc:
         if exc.field is not None:
             raise
         raise ConfigurationError(exc.code, str(exc), field=field) from None
+
+
+def _measure(obj, alpha: float, field: str) -> SignedMeasure:
+    obj = _object({} if obj is None else obj, field, ("atoms", "density"))
+    atoms = _pairs(obj.get("atoms", []), f"{field}.atoms")
+    density = _pairs(obj.get("density", []), f"{field}.density")
+    return _named(field, SignedMeasure, alpha, atoms, density)
 
 
 def _phi(obj, field: str) -> PhiSpec:
@@ -189,10 +170,10 @@ def _phi(obj, field: str) -> PhiSpec:
             _object(payload, f"{field}.exponential", ("rate", "scale"))
             return PhiSpec(
                 "exponential",
-                value=_number(payload.get("scale", 1.0), f"{field}.exponential.scale"),
-                rate=_number(payload.get("rate", 0.0), f"{field}.exponential.rate"),
+                value=_number(payload.get("scale", PhiSpec.value), f"{field}.exponential.scale"),
+                rate=_number(payload.get("rate", PhiSpec.rate), f"{field}.exponential.rate"),
             )
-        return PhiSpec("exponential", value=1.0, rate=_number(payload, f"{field}.exponential"))
+        return PhiSpec("exponential", rate=_number(payload, f"{field}.exponential"))
     if kind == "samples":
         if not isinstance(payload, list) or not payload:
             _fail(SCHEMA_INVALID, "expected a nonempty list", f"{field}.samples")
@@ -242,7 +223,7 @@ def serialize_spec(spec: ProblemSpec) -> dict:
     if spec.phi.kind == "constant":
         phi = {"constant": spec.phi.value}
     elif spec.phi.kind == "exponential":
-        if spec.phi.value == 1.0:
+        if spec.phi.value == PhiSpec.value:
             phi = {"exponential": spec.phi.rate}
         else:
             phi = {"exponential": {"rate": spec.phi.rate, "scale": spec.phi.value}}

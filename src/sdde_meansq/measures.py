@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BAD_VALUE, AtomAlignmentError, ConfigurationError
+from .errors import BAD_VALUE, PHI_SAMPLES_MISMATCH, AtomAlignmentError, ConfigurationError
 from .quadrature import DIV_RTOL, convolve, exact_divisions
 
 #: atoms must hit a grid node within this fraction of the step
@@ -88,7 +88,7 @@ def segment_nodes(alpha: float, h: float) -> np.ndarray:
 
 @dataclass(eq=False)
 class Segment:
-    """A function sampled on the uniform grid -alpha, -alpha+h, ..., 0."""
+    """A function sampled on the uniform grid -alpha, -alpha+h, ..., 0: one finite value a node."""
 
     alpha: float
     step: float
@@ -99,15 +99,20 @@ class Segment:
         n = exact_divisions(self.alpha, self.step, "alpha")
         if self.values.shape != (n + 1,):
             raise ConfigurationError(
-                BAD_VALUE,
+                PHI_SAMPLES_MISMATCH,
                 f"segment needs {n + 1} values for alpha={self.alpha}, h={self.step}; "
-                f"got {self.values.shape[0]}",
+                f"got {self.values.size}",
             )
+        if not np.isfinite(self.values).all():
+            raise ConfigurationError(BAD_VALUE, "segment values must be finite")
 
     @classmethod
     def sample(cls, alpha: float, h: float, fn) -> "Segment":
         """The callable ``fn``, mapping an array of times in [-alpha, 0] to values, on the grid."""
-        return cls(alpha, h, fn(segment_nodes(alpha, h)))
+        # an overflow reaches the finite rule above as inf or NaN, without a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = fn(segment_nodes(alpha, h))
+        return cls(alpha, h, values)
 
 
 class CompiledFunctional:

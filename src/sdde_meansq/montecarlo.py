@@ -80,14 +80,26 @@ def check_mc_limits(paths: int, seed: int, workers: int, prefix: str = "") -> No
 
 
 @dataclass(frozen=True)
+class McSettings:
+    """Monte Carlo block of the config; the one home of the Monte Carlo defaults."""
+
+    paths: int = 1000
+    seed: int = 0
+    workers: int = 1
+
+    def __post_init__(self):
+        check_mc_limits(self.paths, self.seed, self.workers, "numerical.mc.")
+
+
+@dataclass(frozen=True)
 class SimulationConfig:
     """Monte Carlo run parameters; results depend only on these and the problem."""
 
     step: float
     horizon: float
     path_count: int
-    master_seed: int = 0
-    worker_count: int = 1
+    master_seed: int = McSettings.seed
+    worker_count: int = McSettings.workers
 
     def __post_init__(self):
         require_positive(self.step, "step")

@@ -95,12 +95,16 @@ def classify(norm_sq: float, truncation_error: float, band: float | None = None)
 
     The default band covers three truncation errors.  A given band is kept
     as it is, so a statistic past it by no more than three truncation errors
-    could lie on either side of it: that is UNCERTIFIED.
+    could lie on either side of it: that is UNCERTIFIED.  So is a statistic
+    that is not finite, and a truncation error that is negative or not finite.
     """
+    if band is not None:
+        require_positive(band, "band")
+    if not (math.isfinite(norm_sq) and 0.0 <= truncation_error < math.inf):
+        return UNCERTIFIED
     margin = 3.0 * truncation_error
     if band is None:
         band, margin = max(1e-3, margin), 0.0
-    require_positive(band, "band")
     if band < abs(norm_sq - 1.0) <= band + margin:
         return UNCERTIFIED
     if norm_sq < 1.0 - band:

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from sdde_meansq import parse_config, run_pipeline
+from sdde_meansq import PhiSpec, parse_config, run_pipeline
 from sdde_meansq._g17 import _E_MAX, _E_MIN
 from sdde_meansq.cli import main as cli_main
 from sdde_meansq.config import config_hash, serialize_spec, with_overrides
@@ -84,6 +84,31 @@ class TestParseConfig:
         with pytest.raises(ConfigurationError) as err:
             parse_config(json.dumps(bad)).phi_segment()
         assert err.value.code == "PHI_SAMPLES_MISMATCH"
+
+    def test_segment_is_built_with_the_problem(self):
+        d = doc(phi={"samples": [1.0] * 1001})
+        spec = parse_config(json.dumps(d))
+        assert spec.phi_segment() is spec.phi_segment()
+        assert spec.phi_segment().values.size == 1001
+        # an override of the step rebuilds it, and checks it against the new grid
+        with pytest.raises(ConfigurationError) as err:
+            with_overrides(spec, step=0.01)
+        assert err.value.code == "PHI_SAMPLES_MISMATCH" and err.value.field == "phi.samples"
+        spec = parse_config(json.dumps(doc(phi={"exponential": -1})))
+        assert with_overrides(spec, step=0.01).phi_segment().values.size == 101
+
+    def test_segment_values_must_be_finite(self):
+        # phi(-1) = 1e308 e overflows to inf: an error when the config is read, and no warning
+        with pytest.raises(ConfigurationError) as err:
+            parse_config(json.dumps(doc(phi={"exponential": {"scale": 1e308, "rate": -1}})))
+        assert err.value.code == "BAD_VALUE"
+        assert str(err.value) == "phi.exponential: segment values must be finite"
+
+    def test_exponential_defaults_are_the_phi_spec_defaults(self):
+        assert parse_config(json.dumps(doc(phi={"exponential": {}}))).phi == PhiSpec("exponential")
+        spec = parse_config(json.dumps(doc(phi={"exponential": {"rate": -2}})))
+        assert spec.phi == PhiSpec("exponential", rate=-2.0)
+        assert serialize_spec(spec)["phi"] == {"exponential": -2.0}
 
     def test_round_trip(self):
         d = doc(
@@ -425,28 +450,38 @@ class TestCli:
         assert not (out / "meansq_mc.csv").exists()
 
     @pytest.mark.parametrize("command", COMMANDS)
-    @pytest.mark.parametrize("numerical, flags, field", [
-        ({"mc": {"paths": 1}}, [], "mc.paths"),
-        ({"mc": {"workers": 0}}, [], "mc.workers"),
-        ({"mc": {"workers": -3}}, [], "mc.workers"),
-        ({"T": 0}, [], "T"),
-        ({"T": -1}, [], "T"),
-        ({"h": 0}, [], "h"),
-        ({"h": -0.01}, [], "h"),
-        ({"band": 0}, [], "band"),
-        ({}, ["--horizon", "0"], "T"),
+    @pytest.mark.parametrize("numerical, phi, flags, error", [
+        ({"mc": {"paths": 1}}, None, [], "BAD_VALUE]: numerical.mc.paths"),
+        ({"mc": {"workers": 0}}, None, [], "BAD_VALUE]: numerical.mc.workers"),
+        ({"mc": {"workers": -3}}, None, [], "BAD_VALUE]: numerical.mc.workers"),
+        ({"T": 0}, None, [], "BAD_VALUE]: numerical.T"),
+        ({"T": -1}, None, [], "BAD_VALUE]: numerical.T"),
+        ({"h": 0}, None, [], "BAD_VALUE]: numerical.h"),
+        ({"h": -0.01}, None, [], "BAD_VALUE]: numerical.h"),
+        ({"band": 0}, None, [], "BAD_VALUE]: numerical.band"),
+        ({}, None, ["--horizon", "0"], "BAD_VALUE]: numerical.T"),
+        ({}, {"samples": [1, 2, 3]}, [], "PHI_SAMPLES_MISMATCH]: phi.samples"),
+        # 101 samples fit h = 0.01, not the flag's step
+        ({}, {"samples": [1] * 101}, ["--step", "0.02"], "PHI_SAMPLES_MISMATCH]: phi.samples"),
+        # phi(-1) = e^800 overflows to inf
+        ({}, {"exponential": -800}, [], "BAD_VALUE]: phi.exponential"),
     ], ids=["paths-1", "workers-0", "workers-minus-3", "T-0", "T-minus-1", "h-0", "h-minus-0.01",
-            "band-0", "horizon-flag-0"])
-    def test_mc_limits_fail_every_command(self, tmp_path, capsys, command, numerical, flags,
-                                          field):
-        # the numerical block, the mc block in it and the flags are checked
-        # when the config is read, whatever the command
+            "band-0", "horizon-flag-0", "phi-3-samples", "phi-samples-step-flag",
+            "phi-exponential-minus-800"])
+    def test_mc_limits_fail_every_command(self, tmp_path, capsys, command, numerical, phi, flags,
+                                          error):
+        # the numerical block, the mc block in it, the initial segment and the
+        # flags are checked when the config is read, whatever the command; a
+        # RuntimeWarning would fail the test (see pyproject.toml)
         mc = {"paths": 16, **numerical.get("mc", {})}
-        cfg = _write(tmp_path, doc(numerical={"h": 0.01, "T": 1, **numerical, "mc": mc}))
+        d = doc(numerical={"h": 0.01, "T": 1, **numerical, "mc": mc})
+        if phi is not None:
+            d.update(phi=phi, nu={"atoms": [[0, 0.5]]})
+        cfg = _write(tmp_path, d)
         out = tmp_path / "out"
         assert cli_main([command, "--config", cfg, "--out", str(out), *flags]) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"config error [BAD_VALUE]: numerical.{field}: ")
+        assert err.startswith(f"config error [{error}: ")
         assert err.count("\n") == 1
         assert not out.exists()
 

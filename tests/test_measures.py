@@ -279,8 +279,23 @@ class TestValidation:
         assert m.atoms == () and m.density == ()
 
     def test_segment_wrong_length(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError) as err:
             Segment(1.0, 0.1, np.ones(5))
+        assert err.value.code == "PHI_SAMPLES_MISMATCH"
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_segment_values_must_be_finite(self, bad):
+        values = np.ones(11)
+        values[3] = bad
+        with pytest.raises(ConfigurationError) as err:
+            Segment(1.0, 0.1, values)
+        assert err.value.code == "BAD_VALUE" and err.value.field is None
+
+    def test_sampled_overflow_is_an_error_without_a_warning(self):
+        # e^800 overflows, and 0 * inf is NaN
+        with pytest.raises(ConfigurationError) as err:
+            Segment.sample(1.0, 0.1, lambda u: 0.0 * np.exp(-800.0 * u))
+        assert err.value.code == "BAD_VALUE"
 
     def test_segment_step_must_divide(self):
         with pytest.raises(ConfigurationError) as err:

@@ -29,6 +29,7 @@ from sdde_meansq.montecarlo import (
     CHUNK,
     DIVERGE_LIMIT,
     RESCALE_BITS,
+    McSettings,
     _euler_maruyama,
     _increment_blocks,
     _increments_from_bits,
@@ -675,6 +676,11 @@ class TestSimulateMeanSquare:
     def test_limits_admit_their_edges(self):
         for seed in (0, 2**64 - 1):
             SimulationConfig(step=0.01, horizon=1.0, path_count=2, master_seed=seed, worker_count=1)
+
+    def test_defaults_are_the_mc_block_defaults(self):
+        mc = McSettings()
+        cfg = SimulationConfig(step=0.01, horizon=1.0, path_count=mc.paths)
+        assert (cfg.master_seed, cfg.worker_count) == (mc.seed, mc.workers)
 
 
 def path_residual(mu, nu, phi, cfg, path_index):

@@ -252,6 +252,12 @@ class TestClassify:
         assert classify(1.0005, 1e-9) == CRITICAL
         assert classify(1.002, 1e-9) == SUPERCRITICAL
         assert classify(1.002, 1e-3) == CRITICAL  # widened by 3x truncation
+        # only a finite statistic with a finite, non-negative truncation error is labelled
+        assert classify(math.nan, 0.0) == UNCERTIFIED
+        assert classify(math.inf, 0.0) == UNCERTIFIED
+        assert classify(5.0, math.nan) == UNCERTIFIED
+        assert classify(5.0, math.inf) == UNCERTIFIED
+        assert classify(0.5, -1e-9) == UNCERTIFIED
 
     def test_given_band_is_uncertified_within_three_truncation_errors_of_its_edge(self):
         assert classify(0.99, 0.01, 1e-3) == UNCERTIFIED
@@ -261,6 +267,9 @@ class TestClassify:
         assert classify(0.9685, 0.01, 1e-3) == SUBCRITICAL
         # inside the band the label is CRITICAL whatever the truncation
         assert classify(1.0005, 0.01, 1e-3) == CRITICAL
+        assert classify(math.nan, 0.0, 1e-3) == UNCERTIFIED
+        assert classify(1.0, math.nan, 1e-3) == UNCERTIFIED
+        assert classify(1.0, math.inf, 1e-3) == UNCERTIFIED
 
     @pytest.mark.parametrize("band", [0.0, -1e-3, math.nan, math.inf])
     def test_given_band_must_be_positive_and_finite(self, band):
