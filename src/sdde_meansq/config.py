@@ -20,14 +20,14 @@ and the offending field path.
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import ALPHA_MISMATCH, BAD_VALUE, SCHEMA_INVALID, ConfigurationError
 from .measures import CompiledFunctional, Segment, SignedMeasure
 from .montecarlo import McSettings
-from .quadrature import exact_divisions, require_match, require_positive
+from .quadrature import exact_divisions, require_match, require_positive, times_exp
 
 
 @dataclass(frozen=True)
@@ -44,7 +44,9 @@ class PhiSpec:
         if self.kind == "constant":
             return lambda u: np.full_like(np.asarray(u, dtype=float), self.value)
         if self.kind == "exponential":
-            return lambda u: self.value * np.exp(self.rate * np.asarray(u, dtype=float))
+            return lambda u: np.copysign(
+                times_exp(abs(self.value), self.rate * np.asarray(u, dtype=float)), self.value
+            )
         return None
 
     def expand(self, alpha: float, h: float) -> Segment:
@@ -79,7 +81,7 @@ class ProblemSpec:
         CompiledFunctional(self.mu, self.h)
         CompiledFunctional(self.nu, self.h)
         exact_divisions(self.T, self.h, "horizon T")
-        # the segment is part of the problem; replace() builds it anew
+        # the segment is part of the problem
         segment = _named(f"phi.{self.phi.kind}", self.phi.expand, self.alpha, self.h)
         object.__setattr__(self, "_segment", segment)
 
@@ -248,21 +250,3 @@ def config_hash(spec: ProblemSpec) -> str:
     blob = json.dumps(serialize_spec(spec), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
 
-
-def with_overrides(
-    spec: ProblemSpec,
-    seed: int | None = None,
-    paths: int | None = None,
-    step: float | None = None,
-    horizon: float | None = None,
-) -> ProblemSpec:
-    """Copy of the spec with CLI-style overrides applied.
-
-    The copy is checked as a whole: the step and the horizon pass the rules
-    of their config fields together.
-    """
-    changes = {k: float(v) for k, v in (("h", step), ("T", horizon)) if v is not None}
-    mc = {k: v for k, v in (("seed", seed), ("paths", paths)) if v is not None}
-    if mc:
-        changes["mc"] = replace(spec.mc or McSettings(), **mc)
-    return replace(spec, **changes) if changes else spec

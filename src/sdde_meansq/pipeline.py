@@ -117,7 +117,7 @@ def monte_carlo_mean_square(spec: ProblemSpec) -> MomentEstimate:
     if mc is None:
         raise ConfigurationError(
             SCHEMA_INVALID,
-            "no Monte Carlo settings: add numerical.mc or pass --paths/--seed",
+            "no Monte Carlo settings: add numerical.mc",
             field="numerical.mc",
         )
     cfg = SimulationConfig(spec.h, spec.T, mc.paths, mc.seed, mc.workers)

@@ -214,9 +214,12 @@ def detect_degenerate(
     sampled segments are scanned at their own step, which bounds how small
     a residual can be certified.
 
-    True iff max |G(x_t)| over the scan window is below DEGENERACY_TOL
-    relative to the total variation of nu times the solution scale.  Exits
-    early with False when already |G(phi)| exceeds that scale.
+    True iff every |G(x_t)| over the scan window is below DEGENERACY_TOL
+    relative to the total variation of nu times the scale of x around t: the
+    largest |x| over the two aligned blocks of N + 1 values that hold the
+    segment x_t.  So a solution that is large only early on does not hide a
+    later G(x_t), and the verdict does not depend on the scale of phi.
+    Exits early with False when already |G(phi)| exceeds its scale.
     """
     alpha = mu.alpha
     if callable(phi):
@@ -227,18 +230,20 @@ def detect_degenerate(
     else:
         phi_seg = phi
         h_det = phi.step
-    eps = float(np.finfo(float).eps)
     tv = total_variation(nu)
     G = CompiledFunctional(nu, h_det)
     g_phi = G.value(phi_seg.values, 0)
-    phi_scale = tv * float(np.abs(phi_seg.values).max()) + eps
-    if abs(g_phi) > DEGENERACY_TOL * phi_scale:
+    if abs(g_phi) > DEGENERACY_TOL * tv * float(np.abs(phi_seg.values).max()):
         return False
     steps = round(T / h_det)
     x = deterministic_solution(mu, phi_seg, h_det, steps * h_det)
     g_trace = G.trace(x.padded)
-    scale = tv * float(np.abs(x.padded).max()) + eps
-    return float(np.abs(g_trace).max()) <= DEGENERACY_TOL * scale
+    # segment t lies in blocks t // B and t // B + 1 of the padded history
+    B = G.n_intervals + 1
+    g_max = np.maximum.reduceat(np.abs(g_trace), np.arange(0, g_trace.size, B))
+    x_max = np.maximum.reduceat(np.abs(x.padded), np.arange(0, x.padded.size, B))
+    x_max = np.maximum(x_max, np.append(x_max[1:], 0.0))[: g_max.size]
+    return bool(np.all(g_max <= DEGENERACY_TOL * tv * x_max))
 
 
 def example_norm_formula(b: float, c: float, d: float, alpha: float) -> float:

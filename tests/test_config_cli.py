@@ -10,7 +10,7 @@ import pytest
 from sdde_meansq import PhiSpec, parse_config, run_pipeline
 from sdde_meansq._g17 import _E_MAX, _E_MIN
 from sdde_meansq.cli import main as cli_main
-from sdde_meansq.config import config_hash, serialize_spec, with_overrides
+from sdde_meansq.config import config_hash, serialize_spec
 from sdde_meansq.errors import ConfigurationError, NumericalError
 from sdde_meansq.pipeline import _CSV_ROWS, COMMANDS, emit_csv
 
@@ -90,12 +90,6 @@ class TestParseConfig:
         spec = parse_config(json.dumps(d))
         assert spec.phi_segment() is spec.phi_segment()
         assert spec.phi_segment().values.size == 1001
-        # an override of the step rebuilds it, and checks it against the new grid
-        with pytest.raises(ConfigurationError) as err:
-            with_overrides(spec, step=0.01)
-        assert err.value.code == "PHI_SAMPLES_MISMATCH" and err.value.field == "phi.samples"
-        spec = parse_config(json.dumps(doc(phi={"exponential": -1})))
-        assert with_overrides(spec, step=0.01).phi_segment().values.size == 101
 
     def test_segment_values_must_be_finite(self):
         # phi(-1) = 1e308 e overflows to inf: an error when the config is read, and no warning
@@ -103,6 +97,23 @@ class TestParseConfig:
             parse_config(json.dumps(doc(phi={"exponential": {"scale": 1e308, "rate": -1}})))
         assert err.value.code == "BAD_VALUE"
         assert str(err.value) == "phi.exponential: segment values must be finite"
+
+    def test_exponential_with_an_overflowing_factor_parses(self):
+        # e^(750 |u|) and e^(800 |u|) overflow; the segments they scale are finite
+        seg = parse_config(json.dumps(doc(
+            numerical={"h": 0.01, "T": 1}, phi={"exponential": {"scale": 1e-300, "rate": -750}},
+        ))).phi_segment()
+        assert seg.values[0] == pytest.approx(math.exp(750.0 + math.log(1e-300)), rel=1e-12)
+        assert seg.values[-1] == 1e-300
+        seg = parse_config(json.dumps(doc(
+            numerical={"h": 0.01, "T": 1}, phi={"exponential": {"scale": 0, "rate": -800}},
+        ))).phi_segment()
+        assert not seg.values.any()
+
+    def test_negative_scale_keeps_its_sign(self):
+        spec = parse_config(json.dumps(doc(phi={"exponential": {"scale": -2, "rate": -1}})))
+        assert spec.phi_segment().values[-1] == -2.0
+        assert spec.phi_segment().values[0] == -2.0 * math.exp(1.0)
 
     def test_exponential_defaults_are_the_phi_spec_defaults(self):
         assert parse_config(json.dumps(doc(phi={"exponential": {}}))).phi == PhiSpec("exponential")
@@ -121,16 +132,6 @@ class TestParseConfig:
         again = parse_config(json.dumps(serialize_spec(spec)))
         assert again == spec
         assert config_hash(again) == config_hash(spec)
-
-    def test_overrides(self):
-        spec = parse_config(json.dumps(GBM))
-        out = with_overrides(spec, seed=9, paths=50, step=0.01, horizon=5.0)
-        assert out.mc.seed == 9 and out.mc.paths == 50
-        assert out.h == 0.01 and out.T == 5.0
-        # checked together: the step 0.2 divides the new horizon 3, not the old 2.5
-        spec = parse_config(json.dumps(doc(numerical={"h": 0.01, "T": 2.5})))
-        out = with_overrides(spec, step=0.2, horizon=3.0)
-        assert (out.h, out.T) == (0.2, 3.0)
 
 
 class TestEmitCsv:
@@ -281,16 +282,6 @@ class TestCli:
         assert len(lines) == 202
         assert float(lines[1].split(",")[1]) == 1.0
 
-    def test_step_and_horizon_flags(self, tmp_path):
-        cfg = _write(tmp_path, doc(numerical={"h": 0.01, "T": 2}))
-        assert cli_main(
-            ["resolvent", "--config", cfg, "--out", str(tmp_path),
-             "--step", "0.02", "--horizon", "1"]
-        ) == 0
-        lines = (tmp_path / "resolvent.csv").read_text().splitlines()
-        assert len(lines) == 52
-        assert float(lines[-1].split(",")[0]) == 1.0
-
     def test_meansquare_csv(self, tmp_path):
         cfg = _write(tmp_path, doc(numerical={"h": 0.01, "T": 2}))
         assert cli_main(["meansquare", "--config", cfg, "--out", str(tmp_path)]) == 0
@@ -311,11 +302,9 @@ class TestCli:
         assert meta["tilt"] == 2.0  # twice the noise atom at lag 0
 
     def test_compare_columns_and_seed_override(self, tmp_path):
-        d = doc(numerical={"h": 0.01, "T": 1, "mc": {"paths": 128, "seed": 5, "workers": 1}})
+        d = doc(numerical={"h": 0.01, "T": 1, "mc": {"paths": 64, "seed": 6, "workers": 1}})
         cfg = _write(tmp_path, d)
-        assert cli_main(
-            ["compare", "--config", cfg, "--out", str(tmp_path), "--seed", "6", "--paths", "64"]
-        ) == 0
+        assert cli_main(["compare", "--config", cfg, "--out", str(tmp_path)]) == 0
         lines = (tmp_path / "compare.csv").read_text().splitlines()
         assert lines[0] == "t,meansq_renewal,meansq_mc,mc_stderr,z"
         zs = [abs(float(l.split(",")[4])) for l in lines[2:]]
@@ -399,17 +388,31 @@ class TestCli:
         assert list(out.iterdir()) == []
 
     def test_flags_do_not_leak_into_the_next_call(self, tmp_path):
-        # one parser serves every call of the process
+        # one parser serves every call of the process, a refused one included
         d = doc(numerical={"h": 0.01, "T": 1, "mc": {"paths": 64, "seed": 5, "workers": 1}})
         cfg = _write(tmp_path, d)
         out1, out2 = tmp_path / "a", tmp_path / "b"
         argv = ["simulate", "--config", cfg, "--out"]
-        assert cli_main(argv + [str(out1), "--seed", "9", "--paths", "32"]) == 0
+        assert cli_main(argv + [str(out1), "--seed", "9", "--paths", "32"]) == 1
         assert cli_main(argv + [str(out2)]) == 0
-        first = json.loads((out1 / "meansq_mc_meta.json").read_text())
-        second = json.loads((out2 / "meansq_mc_meta.json").read_text())
-        assert (first["seed"], first["paths"]) == (9, 32)
-        assert (second["seed"], second["paths"]) == (5, 64)
+        assert not out1.exists()
+        meta = json.loads((out2 / "meansq_mc_meta.json").read_text())
+        assert (meta["seed"], meta["paths"]) == (5, 64)
+
+    @pytest.mark.parametrize("flag", [
+        ["--seed", "1"], ["--paths", "64"], ["--step", "0.01"], ["--horizon", "1"],
+        ["--step", "-inf"],
+    ], ids=["seed", "paths", "step", "horizon", "step-minus-inf"])
+    def test_config_fields_are_not_flags(self, tmp_path, capsys, flag):
+        # the config file is the one source of a run's parameters
+        cfg = _write(tmp_path, doc(numerical={"h": 0.01, "T": 1, "mc": {"paths": 16}}))
+        out = tmp_path / "out"
+        assert cli_main(["simulate", "--config", cfg, "--out", str(out), *flag]) == 1
+        assert capsys.readouterr().err == (
+            f"config error [USAGE]: unrecognized arguments: {' '.join(flag)} "
+            "(see sdde-meansq --help)\n"
+        )
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
         ["frobnicate", "--config", "{cfg}"],
@@ -439,39 +442,36 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             cli_main(["--help"])
         assert exc.value.code == 0
-        assert "<command>" in capsys.readouterr().out
-
-    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
-    def test_seed_flag_outside_64_bits_is_a_configuration_error(self, tmp_path, capsys, seed):
-        cfg = _write(tmp_path, doc(numerical={"h": 0.01, "T": 1, "mc": {"paths": 16}}))
-        out = tmp_path / "out"
-        assert cli_main(["simulate", "--config", cfg, "--out", str(out), "--seed", seed]) == 1
-        assert capsys.readouterr().err.startswith("config error [BAD_VALUE]: numerical.mc.seed: ")
-        assert not (out / "meansq_mc.csv").exists()
+        out = capsys.readouterr().out
+        assert "<command>" in out
+        assert not any(flag in out for flag in ("--seed", "--paths", "--step", "--horizon"))
 
     @pytest.mark.parametrize("command", COMMANDS)
-    @pytest.mark.parametrize("numerical, phi, flags, error", [
-        ({"mc": {"paths": 1}}, None, [], "BAD_VALUE]: numerical.mc.paths"),
-        ({"mc": {"workers": 0}}, None, [], "BAD_VALUE]: numerical.mc.workers"),
-        ({"mc": {"workers": -3}}, None, [], "BAD_VALUE]: numerical.mc.workers"),
-        ({"T": 0}, None, [], "BAD_VALUE]: numerical.T"),
-        ({"T": -1}, None, [], "BAD_VALUE]: numerical.T"),
-        ({"h": 0}, None, [], "BAD_VALUE]: numerical.h"),
-        ({"h": -0.01}, None, [], "BAD_VALUE]: numerical.h"),
-        ({"band": 0}, None, [], "BAD_VALUE]: numerical.band"),
-        ({}, None, ["--horizon", "0"], "BAD_VALUE]: numerical.T"),
-        ({}, {"samples": [1, 2, 3]}, [], "PHI_SAMPLES_MISMATCH]: phi.samples"),
-        # 101 samples fit h = 0.01, not the flag's step
-        ({}, {"samples": [1] * 101}, ["--step", "0.02"], "PHI_SAMPLES_MISMATCH]: phi.samples"),
+    @pytest.mark.parametrize("numerical, phi, error", [
+        ({"mc": {"paths": 1}}, None, "BAD_VALUE]: numerical.mc.paths"),
+        ({"mc": {"workers": 0}}, None, "BAD_VALUE]: numerical.mc.workers"),
+        ({"mc": {"workers": -3}}, None, "BAD_VALUE]: numerical.mc.workers"),
+        ({"T": 0}, None, "BAD_VALUE]: numerical.T"),
+        ({"T": -1}, None, "BAD_VALUE]: numerical.T"),
+        ({"h": 0}, None, "BAD_VALUE]: numerical.h"),
+        ({"h": -0.01}, None, "BAD_VALUE]: numerical.h"),
+        ({"band": 0}, None, "BAD_VALUE]: numerical.band"),
+        # json writes these as the JSON extensions Infinity, -Infinity and NaN
+        ({"h": math.inf}, None, "BAD_VALUE]: numerical.h"),
+        ({"h": -math.inf}, None, "BAD_VALUE]: numerical.h"),
+        ({"h": math.nan}, None, "BAD_VALUE]: numerical.h"),
+        ({"T": math.inf}, None, "BAD_VALUE]: numerical.T"),
+        ({"T": -math.inf}, None, "BAD_VALUE]: numerical.T"),
+        ({"T": math.nan}, None, "BAD_VALUE]: numerical.T"),
+        ({}, {"samples": [1, 2, 3]}, "PHI_SAMPLES_MISMATCH]: phi.samples"),
         # phi(-1) = e^800 overflows to inf
-        ({}, {"exponential": -800}, [], "BAD_VALUE]: phi.exponential"),
+        ({}, {"exponential": -800}, "BAD_VALUE]: phi.exponential"),
     ], ids=["paths-1", "workers-0", "workers-minus-3", "T-0", "T-minus-1", "h-0", "h-minus-0.01",
-            "band-0", "horizon-flag-0", "phi-3-samples", "phi-samples-step-flag",
-            "phi-exponential-minus-800"])
-    def test_mc_limits_fail_every_command(self, tmp_path, capsys, command, numerical, phi, flags,
-                                          error):
-        # the numerical block, the mc block in it, the initial segment and the
-        # flags are checked when the config is read, whatever the command; a
+            "band-0", "h-Infinity", "h-minus-Infinity", "h-NaN", "T-Infinity",
+            "T-minus-Infinity", "T-NaN", "phi-3-samples", "phi-exponential-minus-800"])
+    def test_mc_limits_fail_every_command(self, tmp_path, capsys, command, numerical, phi, error):
+        # the numerical block, the mc block in it and the initial segment are
+        # checked when the config is read, whatever the command; a
         # RuntimeWarning would fail the test (see pyproject.toml)
         mc = {"paths": 16, **numerical.get("mc", {})}
         d = doc(numerical={"h": 0.01, "T": 1, **numerical, "mc": mc})
@@ -479,7 +479,7 @@ class TestCli:
             d.update(phi=phi, nu={"atoms": [[0, 0.5]]})
         cfg = _write(tmp_path, d)
         out = tmp_path / "out"
-        assert cli_main([command, "--config", cfg, "--out", str(out), *flags]) == 1
+        assert cli_main([command, "--config", cfg, "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"config error [{error}: ")
         assert err.count("\n") == 1
@@ -500,39 +500,6 @@ class TestCli:
         err = capsys.readouterr().err
         assert err == f"config error [BAD_VALUE]: SDDE_MEANSQ_THREADS: {rule}\n"
         assert list(out.iterdir()) == []
-
-    @pytest.mark.parametrize("command", ["classify", "simulate"])
-    def test_paths_flag_below_two_is_a_configuration_error(self, tmp_path, capsys, command):
-        cfg = _write(tmp_path, doc(numerical={"h": 0.01, "T": 1, "mc": {"paths": 16}}))
-        out = tmp_path / "out"
-        assert cli_main([command, "--config", cfg, "--out", str(out), "--paths", "1"]) == 1
-        assert capsys.readouterr().err.startswith(
-            "config error [BAD_VALUE]: numerical.mc.paths: must be at least 2, got 1"
-        )
-        assert not out.exists()
-
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-    @pytest.mark.parametrize("flag, field", [("--step", "numerical.h"), ("--horizon", "numerical.T")])
-    def test_non_finite_grid_flag_is_a_configuration_error(self, tmp_path, capsys, flag, field,
-                                                          value):
-        # the flags pass the check their config fields pass, the value given
-        # with "=" or as the next token, which argparse alone reads as a flag
-        cfg = _write(tmp_path, GBM)
-        out = tmp_path / "out"
-        for given in ([f"{flag}={value}"], [flag, value]):
-            assert cli_main(["classify", "--config", cfg, "--out", str(out), *given]) == 1
-            err = capsys.readouterr().err
-            assert err.startswith(f"config error [BAD_VALUE]: {field}: ")
-            assert err.count("\n") == 1 and "Traceback" not in err
-            assert not out.exists()
-
-    def test_negative_flag_values_read_as_values(self, tmp_path, capsys):
-        cfg = _write(tmp_path, GBM)
-        for flag, value, field in (("--step", "-0.5", "h"), ("--horizon", "-1e-3", "T")):
-            assert cli_main(["classify", "--config", cfg, flag, value]) == 1
-            err = capsys.readouterr().err
-            assert err.startswith(f"config error [BAD_VALUE]: numerical.{field}: ")
-            assert err.endswith(f"got {float(value)}\n")
 
     def test_simulate_requires_mc_settings(self, tmp_path):
         cfg = _write(tmp_path, doc(numerical={"h": 0.01, "T": 1}))

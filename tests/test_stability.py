@@ -538,6 +538,45 @@ class TestAnalyzePipeline:
         assert rep.norm_sq_gr > 1.0
         assert rep.limit_constant == 0.0
 
+    def test_start_large_only_early_on_is_subcritical(self):
+        # x = e^(-20 u) on the segment, e^(-t) after 0: max|x| = e^20 over the
+        # whole history, while G(x_t) = 0.5 e^(-t) is not small next to x_t
+        doc = {
+            "alpha": 1, "mu": {"atoms": [[0, -1]]}, "nu": {"atoms": [[0, 0.5]]},
+            "phi": {"exponential": {"rate": -20}}, "numerical": {"h": 0.01, "T": 5},
+        }
+        rep = analyze(parse_config(json.dumps(doc))).report
+        assert rep.classification == SUBCRITICAL
+        assert rep.degenerate is False
+        assert rep.norm_sq_gr == pytest.approx(0.125, abs=1e-4)
+
+    @pytest.mark.parametrize("nu, rate, label", [
+        ({"atoms": [[0, -E], [-1, 1]]}, -1, DEGENERATE),
+        ({"atoms": [[0, 0.5]]}, -20, SUBCRITICAL),
+        ({"atoms": [[0, 0.5]]}, 2, SUBCRITICAL),
+        ({"atoms": [[0, 2]]}, 0, SUPERCRITICAL),
+    ], ids=["criterion-5", "early-peak", "late-peak", "supercritical"])
+    def test_label_does_not_depend_on_the_scale_of_phi(self, nu, rate, label):
+        # the problem is linear: phi and 1e-300 phi have one label
+        doc = {"alpha": 1, "mu": {"atoms": [[0, -1]]}, "nu": nu,
+               "numerical": {"h": 0.01, "T": 5}}
+        for scale in (1.0, 1e-300):
+            doc["phi"] = {"exponential": {"rate": rate, "scale": scale}}
+            assert analyze(parse_config(json.dumps(doc))).report.classification == label
+
+    @pytest.mark.parametrize("phi, label", [
+        # phi(-1) = 1e-300 e^750 = 5.3e25: the factor e^750 alone overflows
+        ({"scale": 1e-300, "rate": -750}, SUBCRITICAL),
+        # phi = 0 e^(800 |u|) = 0
+        ({"scale": 0, "rate": -800}, DEGENERATE),
+    ], ids=["tiny-scale-steep-rate", "zero-scale"])
+    def test_exponential_with_an_overflowing_factor(self, phi, label):
+        doc = {
+            "alpha": 1, "mu": {"atoms": [[0, -1]]}, "nu": {"atoms": [[0, 0.5]]},
+            "phi": {"exponential": phi}, "numerical": {"h": 0.01, "T": 5},
+        }
+        assert analyze(parse_config(json.dumps(doc))).report.classification == label
+
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestFastDecay:
