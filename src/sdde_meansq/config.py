@@ -1,4 +1,4 @@
-"""Problem configuration: JSON parsing, validation, canonical serialization.
+"""Problem configuration: JSON parsing, validation, and the config hash.
 
 Schema (all measures share the delay horizon alpha)::
 
@@ -20,7 +20,7 @@ and the offending field path.
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -38,6 +38,11 @@ class PhiSpec:
     value: float = 1.0
     rate: float = 0.0
     samples: tuple = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "value", float(self.value))
+        object.__setattr__(self, "rate", float(self.rate))
+        object.__setattr__(self, "samples", tuple(map(float, self.samples)))
 
     def sampler(self):
         """Exact evaluator u -> phi(u), or None when only samples exist."""
@@ -68,6 +73,9 @@ class ProblemSpec:
     mc: McSettings | None = None
 
     def __post_init__(self):
+        # floats, so that a spec built with ints equals and hashes as its parsed twin
+        for name in ("alpha", "h", "T") + (("band",) if self.band is not None else ()):
+            object.__setattr__(self, name, float(getattr(self, name)))
         for m in (self.mu, self.nu):
             require_match(
                 m.alpha, self.alpha, ALPHA_MISMATCH, "mu and nu must live on [-alpha, 0]",
@@ -212,41 +220,11 @@ def parse_config(text: str) -> ProblemSpec:
     )
 
 
-def serialize_spec(spec: ProblemSpec) -> dict:
-    """Canonical dict form; parse_config(json.dumps(...)) round-trips."""
-    def measure_dict(m: SignedMeasure) -> dict:
-        out = {}
-        if m.atoms:
-            out["atoms"] = [[l, w] for l, w in m.atoms]
-        if m.density:
-            out["density"] = [[l, v] for l, v in m.density]
-        return out
-
-    if spec.phi.kind == "constant":
-        phi = {"constant": spec.phi.value}
-    elif spec.phi.kind == "exponential":
-        if spec.phi.value == PhiSpec.value:
-            phi = {"exponential": spec.phi.rate}
-        else:
-            phi = {"exponential": {"rate": spec.phi.rate, "scale": spec.phi.value}}
-    else:
-        phi = {"samples": list(spec.phi.samples)}
-    numerical = {"h": spec.h, "T": spec.T}
-    if spec.band is not None:
-        numerical["band"] = spec.band
-    if spec.mc is not None:
-        numerical["mc"] = asdict(spec.mc)
-    return {
-        "alpha": spec.alpha,
-        "mu": measure_dict(spec.mu),
-        "nu": measure_dict(spec.nu),
-        "phi": phi,
-        "numerical": numerical,
-    }
+def _fields(obj) -> dict:
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
 
 
 def config_hash(spec: ProblemSpec) -> str:
-    """SHA-256 of the canonical JSON form."""
-    blob = json.dumps(serialize_spec(spec), sort_keys=True, separators=(",", ":"))
+    """SHA-256 of the spec's dataclass fields as sorted, compact JSON."""
+    blob = json.dumps(spec, default=_fields, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
-

@@ -25,8 +25,8 @@ class SignedMeasure:
     ``atoms`` is a sequence of (location, weight) pairs with pairwise
     distinct locations; ``density`` is a sequence of (location, value) knots
     with strictly increasing locations, linearly interpolated in between and
-    zero outside the knot range.  The zero measure (no atoms, no density) is
-    valid.
+    zero outside the knot range, so a density has no knot or at least two.
+    The zero measure (no atoms, no density) is valid.
     """
 
     alpha: float
@@ -36,6 +36,7 @@ class SignedMeasure:
     def __post_init__(self):
         if not self.alpha >= 0.0:
             raise ConfigurationError(BAD_VALUE, f"must be >= 0, got {self.alpha}", field="alpha")
+        object.__setattr__(self, "alpha", float(self.alpha))
         object.__setattr__(self, "atoms", tuple((float(l), float(w)) for l, w in self.atoms))
         object.__setattr__(self, "density", tuple((float(l), float(v)) for l, v in self.density))
         slack = DIV_RTOL * max(1.0, self.alpha)
@@ -46,6 +47,8 @@ class SignedMeasure:
         locs = [l for l, _ in self.atoms]
         if len(set(locs)) != len(locs):
             raise ConfigurationError(BAD_VALUE, "atom locations must be pairwise distinct")
+        if len(self.density) == 1:
+            raise ConfigurationError(BAD_VALUE, "a density needs at least two knots")
         dlocs = [l for l, _ in self.density]
         if any(b <= a for a, b in zip(dlocs, dlocs[1:])):
             raise ConfigurationError(BAD_VALUE, "density knots must be strictly increasing")
@@ -56,14 +59,14 @@ def _affine_runs(u: np.ndarray, locs: np.ndarray, rho: np.ndarray, h: float) -> 
 
     ``rho`` is the density sampled at the nodes ``u``.  A node on an inner
     knot belongs to the interval on its right and a node on the last knot
-    to the interval on its left, as in ``np.interp``; a lone knot is an
-    interval of length zero.  Runs of zero weight are left out.
+    to the interval on its left, as in ``np.interp``.  Runs of zero weight
+    are left out.
     """
     last = locs.size - 1
     which = np.searchsorted(locs, u, side="right") - 1
-    which = np.where(u > locs[-1], -1, np.minimum(which, max(last - 1, 0)))
+    which = np.where(u > locs[-1], -1, np.minimum(which, last - 1))
     runs = []
-    for i in range(max(last, 1)):
+    for i in range(last):
         js = np.flatnonzero(which == i)
         if js.size == 0:
             continue

@@ -2,7 +2,7 @@
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -64,8 +64,14 @@ def analyze(spec: ProblemSpec) -> Analysis:
         forcing = GridTrace(h, require_finite(gx.values**2, h, "forcing G(x_t)^2"))
     rho = decay_rate_estimate(r.trace)
     norm_sq, trunc = l2_norm_sq_tail(gr)
+    # the problem is linear: a generator v e^(g u) is scanned as sign(v) e^(g (u + alpha/2) - c),
+    # free of v's scale; c lowers a peak beyond e^700 to e^700, and the far end underflows
+    phi = spec.phi
+    g = phi.rate if phi.kind == "exponential" else 0.0
+    c = max(0.0, 0.5 * abs(g) * spec.alpha - 700.0)
+    unit = lambda u: np.sign(phi.value) * np.exp(g * (u + 0.5 * spec.alpha) - c)
     degenerate = detect_degenerate(
-        spec.mu, spec.nu, spec.phi.sampler() or phi_seg, h, T
+        spec.mu, spec.nu, phi_seg if phi.kind == "samples" else unit, h, T
     )
     certified = rho > 0.0 and math.isfinite(trunc)
     if degenerate:
@@ -157,7 +163,7 @@ def emit_json(path: Path, doc: dict) -> None:
 
 
 def report_document(spec: ProblemSpec, report: StabilityReport) -> dict:
-    doc = report.to_dict()
+    doc = asdict(report)
     doc["inputs"] = {
         "config_hash": config_hash(spec),
         "alpha": spec.alpha,

@@ -15,7 +15,7 @@ the mass-one limit is the growth-case limit constant at rate 0.
 """
 
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,9 +58,6 @@ class StabilityReport:
     m_kappa_zeta: float | None = None
     limit_constant: float | None = None
     rate_bound: float | None = None
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def g_of_r_trace(r: HistoryTable, nu: SignedMeasure) -> GridTrace:
@@ -218,7 +215,8 @@ def detect_degenerate(
     relative to the total variation of nu times the scale of x around t: the
     largest |x| over the two aligned blocks of N + 1 values that hold the
     segment x_t.  So a solution that is large only early on does not hide a
-    later G(x_t), and the verdict does not depend on the scale of phi.
+    later G(x_t).  That bound underflows for a subnormal phi, so
+    ``pipeline.analyze`` passes a generator phi at a fixed scale.
     Exits early with False when already |G(phi)| exceeds its scale.
     """
     alpha = mu.alpha

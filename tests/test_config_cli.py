@@ -7,10 +7,10 @@ import sys
 import numpy as np
 import pytest
 
-from sdde_meansq import PhiSpec, parse_config, run_pipeline
+from sdde_meansq import PhiSpec, SignedMeasure, parse_config, run_pipeline
 from sdde_meansq._g17 import _E_MAX, _E_MIN
 from sdde_meansq.cli import main as cli_main
-from sdde_meansq.config import config_hash, serialize_spec
+from sdde_meansq.config import ProblemSpec, config_hash
 from sdde_meansq.errors import ConfigurationError, NumericalError
 from sdde_meansq.pipeline import _CSV_ROWS, COMMANDS, emit_csv
 
@@ -119,19 +119,53 @@ class TestParseConfig:
         assert parse_config(json.dumps(doc(phi={"exponential": {}}))).phi == PhiSpec("exponential")
         spec = parse_config(json.dumps(doc(phi={"exponential": {"rate": -2}})))
         assert spec.phi == PhiSpec("exponential", rate=-2.0)
-        assert serialize_spec(spec)["phi"] == {"exponential": -2.0}
 
-    def test_round_trip(self):
-        d = doc(
-            nu={"atoms": [[0, 0.5], [-1, 0.5]], "density": [[-0.5, 0.25], [0, 0.75]]},
-            phi={"exponential": -0.3},
-        )
-        d["numerical"]["band"] = 0.002
-        d["numerical"]["mc"] = {"paths": 500, "seed": 3, "workers": 2}
+
+def _hash(d):
+    return config_hash(parse_config(json.dumps(d)))
+
+
+class TestConfigHash:
+    BASE = doc(
+        nu={"atoms": [[0, 0.5], [-1, 0.5]], "density": [[-0.5, 0.25], [0, 0.75]]},
+        phi={"exponential": -0.3},
+        numerical={"h": 0.01, "T": 2, "band": 0.002,
+                   "mc": {"paths": 500, "seed": 3, "workers": 2}},
+    )
+
+    @pytest.mark.parametrize("one, other", [
+        ({"phi": {"exponential": -1}}, {"phi": {"exponential": {"rate": -1, "scale": 1}}}),
+        ({"alpha": 1}, {"alpha": 1.0}),
+        ({"nu": {}}, {"nu": {"atoms": []}}),
+        ({"numerical": {"h": 0.01, "T": 2, "mc": {}}},
+         {"numerical": {"h": 0.01, "T": 2, "mc": {"paths": 1000, "seed": 0, "workers": 1}}}),
+        ({"numerical": {"h": 0.01, "T": 2, "band": None}}, {"numerical": {"h": 0.01, "T": 2}}),
+    ], ids=["phi-shorthand", "int-alpha", "empty-measure", "mc-defaults", "null-band"])
+    def test_spellings_of_one_problem_hash_equal(self, one, other):
+        assert _hash(doc(**one)) == _hash(doc(**other))
+
+    @pytest.mark.parametrize("change", [
+        {"numerical": {"h": 0.01, "T": 2, "band": 0.002,
+                       "mc": {"paths": 500, "seed": 4, "workers": 2}}},
+        {"phi": {"exponential": {"rate": -0.3, "scale": 2}}},
+        {"numerical": {"h": 0.01, "T": 3, "band": 0.002,
+                       "mc": {"paths": 500, "seed": 3, "workers": 2}}},
+        {"nu": {"atoms": [[0, 0.5], [-1, 0.5]], "density": [[-0.5, 0.25], [0, 0.5]]}},
+        {"phi": {"constant": 1}},
+    ], ids=["seed", "scale", "T", "density", "phi-kind"])
+    def test_a_changed_field_changes_the_hash(self, change):
+        assert _hash(doc(**{**self.BASE, **change})) != _hash(self.BASE)
+
+    def test_a_spec_built_directly_hashes_as_parsed(self):
+        # ints and an array of samples are held as floats, as parse_config gives them
+        d = doc(phi={"samples": [0.5] * 11}, numerical={"h": 0.1, "T": 1})
         spec = parse_config(json.dumps(d))
-        again = parse_config(json.dumps(serialize_spec(spec)))
-        assert again == spec
-        assert config_hash(again) == config_hash(spec)
+        built = ProblemSpec(
+            alpha=1, mu=SignedMeasure(1, atoms=((0, -1),)), nu=SignedMeasure(1, atoms=((0, 1),)),
+            phi=PhiSpec("samples", samples=np.full(11, 0.5)), h=0.1, T=1,
+        )
+        assert built == spec
+        assert config_hash(built) == config_hash(spec)
 
 
 class TestEmitCsv:
@@ -316,6 +350,19 @@ class TestCli:
         assert "GRID_MISALIGNED" in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
 
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("field", ["mu", "nu"])
+    def test_one_knot_density_is_a_configuration_error(self, tmp_path, capsys, field, command):
+        # one knot defines the zero density, so it is a mistake, not an atom of weight h * value
+        d = doc(nu={"atoms": [[0, 0.5]]}, numerical={"h": 0.01, "T": 1, "mc": {"paths": 16}})
+        d[field] = {**d[field], "density": [[-0.5, -2]]}
+        out = tmp_path / "out"
+        assert cli_main([command, "--config", _write(tmp_path, d), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"config error [BAD_VALUE]: {field}: a density needs at least two knots\n"
+        )
+        assert not out.exists()
+
     def test_exit_code_missing_file(self, tmp_path):
         assert cli_main(["classify", "--config", str(tmp_path / "nope.json")]) == 1
 
@@ -420,7 +467,7 @@ class TestCli:
         ["classify", "--config", "{cfg}", "--paths", "ten"],
         ["classify", "--config", "{cfg}", "--colour"],
         [],
-    ], ids=["unknown-command", "missing-config", "bad-int", "unknown-flag", "empty"])
+    ], ids=["unknown-command", "missing-config", "removed-flag", "unknown-flag", "empty"])
     def test_usage_error_is_a_configuration_error(self, tmp_path, capsys, argv):
         # exit code 2 is kept for an uncertified classification
         cfg = _write(tmp_path, GBM)

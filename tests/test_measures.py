@@ -274,6 +274,12 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             SignedMeasure(1.0, density=((0.0, 1.0), (-1.0, 1.0)))
 
+    def test_one_density_knot(self):
+        with pytest.raises(ConfigurationError) as err:
+            SignedMeasure(1.0, density=((-0.5, 2.0),))
+        assert err.value.code == "BAD_VALUE" and err.value.field is None
+        assert str(err.value) == "a density needs at least two knots"
+
     def test_zero_measure_is_valid(self):
         m = SignedMeasure(0.0)
         assert m.atoms == () and m.density == ()

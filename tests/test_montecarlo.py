@@ -161,8 +161,6 @@ class TestWindowSums:
         (((-0.8, 0.0), (-0.3, 1.0)), 0.02),
         # knots on the grid at both ends, so both trapezoid halvings apply
         (((-1.0, 1.0), (-0.5, -1.0), (0.0, 1.0)), 0.125),
-        # a lone knot on a grid node weighs that node alone
-        (((-0.5, 2.0),), 0.125),
     ])
     def test_matches_matvec_on_random_paths(self, density, h):
         m = SignedMeasure(1.0, atoms=((0.0, 0.7), (-1.0, -0.2)), density=density)
@@ -174,7 +172,7 @@ class TestWindowSums:
         knots=st.lists(
             # values rounded so that no weight is subnormal
             st.tuples(st.floats(-1.0, 0.0), st.floats(-3.0, 3.0).map(lambda v: round(v, 6))),
-            min_size=1, max_size=6,
+            min_size=2, max_size=6,
             unique_by=lambda k: k[0],
         ),
         h=st.sampled_from([0.25, 0.1, 0.05, 0.02]),

@@ -557,19 +557,38 @@ class TestAnalyzePipeline:
         ({"atoms": [[0, 2]]}, 0, SUPERCRITICAL),
     ], ids=["criterion-5", "early-peak", "late-peak", "supercritical"])
     def test_label_does_not_depend_on_the_scale_of_phi(self, nu, rate, label):
-        # the problem is linear: phi and 1e-300 phi have one label
+        # the problem is linear: phi and s phi have one label, down to a subnormal s,
+        # where the bound on a degenerate G(x_t) would underflow below its round-off
         doc = {"alpha": 1, "mu": {"atoms": [[0, -1]]}, "nu": nu,
                "numerical": {"h": 0.01, "T": 5}}
-        for scale in (1.0, 1e-300):
+        for scale in (1.0, 1e-300, 1e-310, 1e-315, 1e-320, 5e-324):
             doc["phi"] = {"exponential": {"rate": rate, "scale": scale}}
             assert analyze(parse_config(json.dumps(doc))).report.classification == label
+
+    @pytest.mark.parametrize("nu, rate", [
+        ({"atoms": [[0, -E], [-1, 1]]}, -1),
+        ({"atoms": [[0, 0.5]]}, -20),
+        ({"atoms": [[0, 2]]}, 0),
+    ], ids=["criterion-5", "early-peak", "supercritical"])
+    def test_sampled_label_does_not_depend_on_the_scale_of_phi(self, nu, rate):
+        doc = {"alpha": 1, "mu": {"atoms": [[0, -1]]}, "nu": nu,
+               "numerical": {"h": 0.01, "T": 5}}
+        labels = set()
+        for scale in (1.0, 1e-300):
+            doc["phi"] = {"samples": (scale * np.exp(rate * np.linspace(-1, 0, 101))).tolist()}
+            labels.add(analyze(parse_config(json.dumps(doc))).report.classification)
+        assert len(labels) == 1
 
     @pytest.mark.parametrize("phi, label", [
         # phi(-1) = 1e-300 e^750 = 5.3e25: the factor e^750 alone overflows
         ({"scale": 1e-300, "rate": -750}, SUBCRITICAL),
         # phi = 0 e^(800 |u|) = 0
         ({"scale": 0, "rate": -800}, DEGENERATE),
-    ], ids=["tiny-scale-steep-rate", "zero-scale"])
+        # phi in [0, 1], while a scan centred on e^0 would peak at e^750
+        ({"scale": 1, "rate": 1500}, SUBCRITICAL),
+        # phi(-1) = 5e-324 e^1430 = e^686, and phi(0) is subnormal
+        ({"scale": 5e-324, "rate": -1430}, SUBCRITICAL),
+    ], ids=["tiny-scale-steep-rate", "zero-scale", "steep-growth", "subnormal-scale-steep-rate"])
     def test_exponential_with_an_overflowing_factor(self, phi, label):
         doc = {
             "alpha": 1, "mu": {"atoms": [[0, -1]]}, "nu": {"atoms": [[0, 0.5]]},
