@@ -32,7 +32,10 @@ from .quadrature import exact_divisions, require_match, require_positive, times_
 
 @dataclass(frozen=True)
 class PhiSpec:
-    """Initial segment: a named generator or raw grid samples."""
+    """Initial segment: a generator value * e^(rate * u), or raw grid samples.
+
+    A rate-0 exponential is the constant, so both spellings are one spec.
+    """
 
     kind: str  # "constant" | "exponential" | "samples"
     value: float = 1.0
@@ -41,18 +44,19 @@ class PhiSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "value", float(self.value))
-        object.__setattr__(self, "rate", float(self.rate))
+        object.__setattr__(self, "rate", float(self.rate) + 0.0)  # -0.0 becomes 0.0
         object.__setattr__(self, "samples", tuple(map(float, self.samples)))
+        if self.kind == "exponential" and self.rate == 0.0:
+            object.__setattr__(self, "kind", "constant")
 
     def sampler(self):
         """Exact evaluator u -> phi(u), or None when only samples exist."""
-        if self.kind == "constant":
-            return lambda u: np.full_like(np.asarray(u, dtype=float), self.value)
-        if self.kind == "exponential":
-            return lambda u: np.copysign(
-                times_exp(abs(self.value), self.rate * np.asarray(u, dtype=float)), self.value
-            )
-        return None
+        if self.kind not in ("constant", "exponential"):
+            return None
+        # at rate 0, e^0 = 1 gives the constant bit for bit
+        return lambda u: np.copysign(
+            times_exp(abs(self.value), self.rate * np.asarray(u, dtype=float)), self.value
+        )
 
     def expand(self, alpha: float, h: float) -> Segment:
         fn = self.sampler()

@@ -28,12 +28,5 @@ class ConfigurationError(ToolError):
         super().__init__(message if field is None else f"{field}: {message}")
 
 
-class AtomAlignmentError(ConfigurationError):
-    """A point mass does not sit on the evaluation grid."""
-
-    def __init__(self, message: str, field: str | None = None):
-        super().__init__(ATOM_OFF_GRID, message, field)
-
-
 class NumericalError(ToolError):
     """A solver failed: negative second moment, bracket failure, bad kernel moment."""

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BAD_VALUE, PHI_SAMPLES_MISMATCH, AtomAlignmentError, ConfigurationError
+from .errors import ATOM_OFF_GRID, BAD_VALUE, PHI_SAMPLES_MISMATCH, ConfigurationError
 from .quadrature import DIV_RTOL, convolve, exact_divisions
 
 #: atoms must hit a grid node within this fraction of the step
@@ -149,8 +149,8 @@ class CompiledFunctional:
         for loc, w in measure.atoms:
             off = round((loc + measure.alpha) / h)
             if off < 0 or off > N or abs(loc - (off * h - measure.alpha)) > ATOM_RTOL * h:
-                raise AtomAlignmentError(
-                    f"atom at {loc} is off the grid (step {h}) beyond tolerance"
+                raise ConfigurationError(
+                    ATOM_OFF_GRID, f"atom at {loc} is off the grid (step {h}) beyond tolerance"
                 )
             atom_at[off] = atom_at.get(off, 0.0) + w
         self.atom_at = atom_at
@@ -180,22 +180,16 @@ class CompiledFunctional:
                         points[j] = points.get(j, 0.0) - w[j]
                 self.point_items = tuple(points.items())
 
-    def value(self, padded: np.ndarray, n: int) -> float:
-        """Plain evaluation on the segment at step ``n``."""
-        acc = 0.0
-        for off, w in self.atom_at.items():
-            acc += w * padded[n + off]
-        if self.dens_weights is not None:
-            acc += float(np.dot(self.dens_weights, padded[n : n + self.n_intervals + 1]))
-        return float(acc)
-
     def value_vec(self, padded: np.ndarray, n: int) -> np.ndarray:
-        """Evaluation on a (time, paths) array; the dense reference for the Monte Carlo sums."""
-        acc = np.zeros(padded.shape[1])
+        """Evaluation at step ``n`` of a (time, ...) array; a 1-d ``padded`` gives one value.
+
+        The dense reference for the Monte Carlo sums; the density sum is numpy's, not BLAS.
+        """
+        acc = np.zeros(padded.shape[1:])
         for off, w in self.atom_at.items():
             acc += w * padded[n + off]
         if self.dens_weights is not None:
-            acc += self.dens_weights @ padded[n : n + self.n_intervals + 1]
+            acc += np.einsum("i,i...->...", self.dens_weights, padded[n : n + self.n_intervals + 1])
         return acc
 
     def value_at_unit_jump(self, plain: np.ndarray, v0: float) -> tuple[np.ndarray, np.ndarray]:

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 
 from ._g17 import g17_rows
-from .config import ProblemSpec, config_hash
+from .config import ProblemSpec, _named, config_hash
 from .errors import ConfigurationError, NumericalError, SCHEMA_INVALID
 from .montecarlo import MomentEstimate, SimulationConfig, simulate_mean_square
 from .quadrature import require_finite
@@ -62,12 +62,11 @@ def analyze(spec: ProblemSpec) -> Analysis:
         kernel = GridTrace(h, require_finite(gr.values**2, h, "noise kernel G(r_s)^2"))
         gx = solution_functional_trace(x, spec.nu)
         forcing = GridTrace(h, require_finite(gx.values**2, h, "forcing G(x_t)^2"))
-    rho = decay_rate_estimate(r.trace)
+    rho = _named("numerical.T", decay_rate_estimate, r.trace)
     norm_sq, trunc = l2_norm_sq_tail(gr)
     # the problem is linear: a generator v e^(g u) is scanned as sign(v) e^(g (u + alpha/2) - c),
     # free of v's scale; c lowers a peak beyond e^700 to e^700, and the far end underflows
-    phi = spec.phi
-    g = phi.rate if phi.kind == "exponential" else 0.0
+    phi, g = spec.phi, spec.phi.rate
     c = max(0.0, 0.5 * abs(g) * spec.alpha - 700.0)
     unit = lambda u: np.sign(phi.value) * np.exp(g * (u + 0.5 * spec.alpha) - c)
     degenerate = detect_degenerate(

@@ -110,7 +110,8 @@ def log_linear_fit(t: np.ndarray, v: np.ndarray):
 
     Returns (slope, t_mean, log_mean), the line being log_mean + slope *
     (t - t_mean), or None when fewer than two v are positive.  Both t and
-    log v are centred before their products are summed.
+    log v are centred before their products are summed in numpy's own loop:
+    BLAS splits a long dot over its threads, so its bits follow their count.
     """
     mask = v > 0.0
     if np.count_nonzero(mask) < 2:
@@ -118,7 +119,7 @@ def log_linear_fit(t: np.ndarray, v: np.ndarray):
     tw, lw = t[mask], np.log(v[mask])
     t_mean, l_mean = tw.mean(), lw.mean()
     tw -= t_mean
-    return float(tw @ (lw - l_mean) / (tw @ tw)), t_mean, l_mean
+    return float(np.einsum("i,i->", tw, lw - l_mean) / np.einsum("i,i->", tw, tw)), t_mean, l_mean
 
 
 def _spectra(v: np.ndarray, seg: int) -> np.ndarray:

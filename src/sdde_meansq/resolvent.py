@@ -134,7 +134,8 @@ def _envelope_fit(trace: GridTrace):
     """
     v = np.abs(trace.values)
     if v.size < 8:
-        raise ConfigurationError(BAD_VALUE, "decay estimate needs at least 8 grid points")
+        raise ConfigurationError(BAD_VALUE, "the horizon must span at least 7 steps of "
+                                 f"h = {trace.step:g}, got {v.size - 1}")
     n = int(np.flatnonzero(v >= np.finfo(float).tiny).max(initial=-1)) + 1
     w0 = 3 * max(n - 1, 0) // 4
     # the fit window's times, and its running maxima from the right

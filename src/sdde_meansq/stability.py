@@ -230,7 +230,7 @@ def detect_degenerate(
         h_det = phi.step
     tv = total_variation(nu)
     G = CompiledFunctional(nu, h_det)
-    g_phi = G.value(phi_seg.values, 0)
+    g_phi = G.value_vec(phi_seg.values, 0)
     if abs(g_phi) > DEGENERACY_TOL * tv * float(np.abs(phi_seg.values).max()):
         return False
     steps = round(T / h_det)

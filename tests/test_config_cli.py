@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -140,7 +141,10 @@ class TestConfigHash:
         ({"numerical": {"h": 0.01, "T": 2, "mc": {}}},
          {"numerical": {"h": 0.01, "T": 2, "mc": {"paths": 1000, "seed": 0, "workers": 1}}}),
         ({"numerical": {"h": 0.01, "T": 2, "band": None}}, {"numerical": {"h": 0.01, "T": 2}}),
-    ], ids=["phi-shorthand", "int-alpha", "empty-measure", "mc-defaults", "null-band"])
+        ({"phi": {"constant": 1}}, {"phi": {"exponential": 0}}),
+        ({"phi": {"constant": -2.5}}, {"phi": {"exponential": {"rate": -0.0, "scale": -2.5}}}),
+    ], ids=["phi-shorthand", "int-alpha", "empty-measure", "mc-defaults", "null-band",
+            "rate-0-exponential", "rate-0-exponential-scale"])
     def test_spellings_of_one_problem_hash_equal(self, one, other):
         assert _hash(doc(**one)) == _hash(doc(**other))
 
@@ -155,6 +159,14 @@ class TestConfigHash:
     ], ids=["seed", "scale", "T", "density", "phi-kind"])
     def test_a_changed_field_changes_the_hash(self, change):
         assert _hash(doc(**{**self.BASE, **change})) != _hash(self.BASE)
+
+    def test_a_rate_0_exponential_is_the_constant(self):
+        built = PhiSpec("exponential", value=-2.5, rate=0)
+        assert built == PhiSpec("constant", value=-2.5)
+        assert built.kind == "constant"
+        u = np.linspace(-1.0, 0.0, 11)
+        phi = built.sampler()(u)
+        assert np.array_equal(phi.view(np.int64), np.full_like(u, -2.5).view(np.int64))
 
     def test_a_spec_built_directly_hashes_as_parsed(self):
         # ints and an array of samples are held as floats, as parse_config gives them
@@ -547,6 +559,41 @@ class TestCli:
         err = capsys.readouterr().err
         assert err == f"config error [BAD_VALUE]: SDDE_MEANSQ_THREADS: {rule}\n"
         assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["classify", "meansquare", "compare"])
+    def test_a_horizon_too_short_for_the_decay_fit_names_T(self, tmp_path, capsys, command):
+        # T = 0.05 is five steps of h = 0.01; the decay fit needs seven
+        cfg = _write(tmp_path, doc(numerical={"h": 0.01, "T": 0.05, "mc": {"paths": 16}}))
+        out = tmp_path / "out"
+        assert cli_main([command, "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "config error [BAD_VALUE]: numerical.T: the horizon must span at least 7 steps "
+            "of h = 0.01, got 5\n"
+        )
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["resolvent", "simulate"])
+    def test_a_short_horizon_serves_the_commands_without_a_decay_fit(self, tmp_path, command):
+        cfg = _write(tmp_path, doc(numerical={"h": 0.01, "T": 0.05, "mc": {"paths": 16}}))
+        assert cli_main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+
+    def test_meansquare_bytes_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # 40001 grid points: BLAS would split a dot product of the decay fits
+        # over its threads, and the last bits of the CSV with it
+        cfg = _write(tmp_path, doc(numerical={"h": 5e-4, "T": 20}))
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       MKL_NUM_THREADS=threads)
+            out = tmp_path / f"threads-{threads}"
+            proc = subprocess.run(
+                [sys.executable, "-m", "sdde_meansq.cli", "meansquare", "--config", cfg,
+                 "--out", str(out)],
+                env=env, capture_output=True,
+            )
+            assert proc.returncode == 0, proc.stderr.decode()
+            outputs.append((out / "meansq_renewal.csv").read_bytes())
+        assert outputs[0] == outputs[1]
 
     def test_simulate_requires_mc_settings(self, tmp_path):
         cfg = _write(tmp_path, doc(numerical={"h": 0.01, "T": 1}))

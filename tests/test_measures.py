@@ -17,7 +17,7 @@ from sdde_meansq import (
     simulate_mean_square,
 )
 from sdde_meansq.config import ProblemSpec
-from sdde_meansq.errors import AtomAlignmentError, ConfigurationError
+from sdde_meansq.errors import ConfigurationError
 from sdde_meansq.measures import CompiledFunctional, Segment, segment_nodes, total_variation
 from sdde_meansq.quadrature import convolve
 from sdde_meansq.renewal import mean_square_trace
@@ -34,7 +34,7 @@ def seg(alpha, h, fn):
 
 def apply(m, s):
     """The measure's functional on the segment, as the solvers evaluate it."""
-    return CompiledFunctional(m, s.step).value(s.values, 0)
+    return CompiledFunctional(m, s.step).value_vec(s.values, 0)
 
 
 class TestApplyFunctional:
@@ -58,8 +58,9 @@ class TestApplyFunctional:
     def test_off_grid_atom_rejected(self):
         m = SignedMeasure(1.0, atoms=((-0.05, 1.0),))
         s = seg(1.0, 0.1, lambda u: np.ones_like(u))
-        with pytest.raises(AtomAlignmentError) as err:
+        with pytest.raises(ConfigurationError) as err:
             apply(m, s)
+        assert err.value.code == "ATOM_OFF_GRID"
         assert "-0.05" in str(err.value)
 
     def test_density_part_second_order(self):
@@ -157,7 +158,7 @@ class TestSegmentNodes:
     def test_unit_density_weighs_the_lag_zero_node(self, alpha, h):
         m = SignedMeasure(alpha, density=((-alpha, 1.0), (0.0, 1.0)))
         fn = CompiledFunctional(m, h)
-        assert fn.value(np.ones(fn.n_intervals + 1), 0) == pytest.approx(alpha, rel=1e-12)
+        assert fn.value_vec(np.ones(fn.n_intervals + 1), 0) == pytest.approx(alpha, rel=1e-12)
 
 
 class TestTotalVariation:
@@ -216,6 +217,20 @@ class TestTrace:
         scale = np.exp(3.0 * h * np.arange(ref.size) + 3.0)  # max |padded| on each segment
         assert np.abs(out - ref).max() <= 1e-13 * scale.max()
         assert np.all(np.abs(out - ref) <= 1e-12 * scale)
+
+
+    def test_a_segment_gives_the_value_of_its_column(self):
+        # one evaluator for a 1-d segment and a (time, paths) array
+        m = SignedMeasure(1.0, atoms=((0.0, -1.5), (-0.3, 0.25)),
+                          density=((-0.9, 0.5), (-0.2, -1.0), (0.0, 0.3)))
+        rng = np.random.default_rng(11)
+        for h in (0.1, 1e-3):
+            F = CompiledFunctional(m, h)
+            x = rng.standard_normal(F.n_intervals + 40)
+            for n in (0, 17, 39):
+                one = F.value_vec(x, n)
+                assert one.shape == ()
+                assert np.array_equal(one[None], F.value_vec(x[:, None], n))
 
 
 class TestInvariants:

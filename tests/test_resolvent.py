@@ -30,7 +30,7 @@ def exp_phi(alpha, h, rate):
 
 def unit_jump_value(F, padded, n, side):
     """Per-node jump-at-0 rule: plain value less the jump corrections at step n."""
-    acc = F.value(padded, n)
+    acc = F.value_vec(padded, n)
     N = F.n_intervals
     if n <= N:
         j = N - n
@@ -56,7 +56,7 @@ def reference_heun(mu, h, T, phi=None):
         k2_at = lambda n: unit_jump_value(F, p, n, "left")  # noqa: E731
     else:
         p[: N + 1] = phi.values
-        k1_at = k2_at = lambda n: F.value(p, n)  # noqa: E731
+        k1_at = k2_at = lambda n: F.value_vec(p, n)  # noqa: E731
     for n in range(p.size - N - 1):
         k1 = k1_at(n)
         p[N + n + 1] = p[N + n] + h * k1

@@ -26,7 +26,7 @@ from sdde_meansq import (
     solve_kappa_supercritical,
 )
 from sdde_meansq.cli import main as cli_main
-from sdde_meansq import renewal
+from sdde_meansq import renewal, stability
 from sdde_meansq.errors import ConfigurationError, NumericalError
 from sdde_meansq.measures import CompiledFunctional
 from sdde_meansq.quadrature import corrected_trapezoid
@@ -84,7 +84,7 @@ def two_atom_problem(b, c, d, alpha, h=1e-3, T=20.0):
 
 def unit_jump_value(F, padded, n, side):
     """Per-node jump-at-0 rule: plain value less the jump corrections at step n."""
-    acc = F.value(padded, n)
+    acc = F.value_vec(padded, n)
     N = F.n_intervals
     if n <= N:
         j = N - n
@@ -468,6 +468,39 @@ class TestDetectDegenerate:
         nu = SignedMeasure(1.0, atoms=((0.0, 1.0),))
         phi = lambda u: np.zeros_like(np.asarray(u, dtype=float))
         assert detect_degenerate(mu, nu, phi, 0.01, 5.0) is True
+
+
+class TestDegenerateScanCount:
+    """``analyze`` runs the full degeneracy scan only where G(phi) does not rule it out."""
+
+    @pytest.fixture
+    def scans(self, monkeypatch):
+        calls = []
+        solve = stability.deterministic_solution
+
+        def counted(*args):
+            calls.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(stability, "deterministic_solution", counted)
+        return calls
+
+    @pytest.mark.parametrize("document", [
+        gbm_doc(-1, 1),
+        README_DOC,
+        {**gbm_doc(-1, 1), "phi": {"samples": list(np.linspace(1.0, 2.0, 1001))}},
+    ], ids=["gbm", "readme-density", "sampled-phi"])
+    def test_a_plain_problem_exits_early(self, scans, document):
+        assert not analyze(parse_config(json.dumps(document))).report.degenerate
+        assert scans == []
+
+    def test_criterion_5_problem_is_scanned_once(self, scans):
+        document = {
+            "alpha": 1, "mu": {"atoms": [[0, -1]]}, "nu": {"atoms": [[0, -E], [-1, 1]]},
+            "phi": {"exponential": -1}, "numerical": {"h": 0.01, "T": 5},
+        }
+        assert analyze(parse_config(json.dumps(document))).report.degenerate
+        assert len(scans) == 1
 
 
 class TestSolveB0:
