@@ -11,6 +11,7 @@ config or an --out that is a file included), 2 uncertified classification,
 """
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -32,7 +33,28 @@ _PARSER.add_argument("--config", required=True, help="JSON problem file")
 _PARSER.add_argument("--out", default=".", help="output directory")
 
 
+@functools.cache
+def _fix_malloc_thresholds() -> None:
+    """Keep freed temporaries in glibc's heap for reuse, once per process.
+
+    glibc's thresholds follow the largest block freed so far, so a call would
+    fault in again what earlier calls happened to unmap.  4 MiB is above every
+    temporary of classify and meansquare and below the Monte Carlo buffers.
+    """
+    try:
+        import ctypes
+
+        mallopt = ctypes.CDLL(None).mallopt
+    except (ImportError, AttributeError, OSError, TypeError):  # Windows: CDLL(None) is a TypeError
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(-1, 32 << 20)  # M_TRIM_THRESHOLD
+    mallopt(-3, 4 << 20)  # M_MMAP_THRESHOLD
+
+
 def main(argv=None) -> int:
+    _fix_malloc_thresholds()
     try:
         args = _PARSER.parse_args(argv)
         spec = parse_config(Path(args.config).read_text())

@@ -1,5 +1,6 @@
 """End-to-end orchestration: analysis, renewal reconstruction, file artifacts."""
 
+import contextlib
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -181,13 +182,16 @@ def run_pipeline(spec: ProblemSpec, commands: set[str], out_dir: str = ".") -> i
 
     Returns the exit code: 0 on success, 2 when a classification came back
     UNCERTIFIED.  Configuration and numerical errors propagate to the
-    caller; partially written artifacts are removed.  Diverged Monte Carlo
-    paths are a numerical error, so no estimate they poisoned is written.
+    caller; partially written artifacts are removed, and so are the
+    directories of out_dir that the call created, when left empty.
+    Diverged Monte Carlo paths are a numerical error, so no estimate they
+    poisoned is written.
     """
     unknown = set(commands) - set(COMMANDS)
     if unknown:
         raise ValueError(f"unknown commands: {sorted(unknown)}")
     out = Path(out_dir)
+    created = [d for d in (out, *out.parents) if not d.exists()]  # deepest first
     out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
     analysis = None
@@ -267,5 +271,8 @@ def run_pipeline(spec: ProblemSpec, commands: set[str], out_dir: str = ".") -> i
     except BaseException:
         for p in written:
             p.unlink(missing_ok=True)
+        for d in created:
+            with contextlib.suppress(OSError):  # kept when not empty
+                d.rmdir()
         raise
     return 2 if uncertified else 0

@@ -2,12 +2,15 @@ import io
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import sdde_meansq.cli as cli_mod
 from sdde_meansq import PhiSpec, SignedMeasure, parse_config, run_pipeline
 from sdde_meansq._g17 import _E_MAX, _E_MIN
 from sdde_meansq.cli import main as cli_main
@@ -423,7 +426,7 @@ class TestCli:
         out = tmp_path / "out"
         assert cli_main(["simulate", "--config", cfg, "--out", str(out)]) == 3
         assert "64 of 64 Monte Carlo paths diverged" in capsys.readouterr().err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_infinite_z_exits_numerical_failure(self, tmp_path, capsys):
         # no noise: the Monte Carlo stderr is 0 while the two routes differ
@@ -444,7 +447,7 @@ class TestCli:
         ) in err
         assert "shorten the horizon" not in err
         assert not (out / "compare.csv").exists()
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_flags_do_not_leak_into_the_next_call(self, tmp_path):
         # one parser serves every call of the process, a refused one included
@@ -558,7 +561,7 @@ class TestCli:
         assert cli_main([command, "--config", cfg, "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err == f"config error [BAD_VALUE]: SDDE_MEANSQ_THREADS: {rule}\n"
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["classify", "meansquare", "compare"])
     def test_a_horizon_too_short_for_the_decay_fit_names_T(self, tmp_path, capsys, command):
@@ -570,12 +573,28 @@ class TestCli:
             "config error [BAD_VALUE]: numerical.T: the horizon must span at least 7 steps "
             "of h = 0.01, got 5\n"
         )
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["resolvent", "simulate"])
     def test_a_short_horizon_serves_the_commands_without_a_decay_fit(self, tmp_path, command):
         cfg = _write(tmp_path, doc(numerical={"h": 0.01, "T": 0.05, "mc": {"paths": 16}}))
         assert cli_main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+
+    @pytest.mark.parametrize("d, out_name, code", [
+        (doc(mu={"atoms": [[0, 5]]}, numerical={"h": 0.01, "T": 200}), "out", 3),
+        (doc(numerical={"h": 0.01, "T": 0.05}), "a/b", 1),
+    ], ids=["numerical-failure", "nested-short-horizon"])
+    def test_a_failed_call_leaves_no_directory_it_created(self, tmp_path, d, out_name, code):
+        cfg = _write(tmp_path, d)
+        assert cli_main(["meansquare", "--config", cfg, "--out", str(tmp_path / out_name)]) == code
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["prob.json"]
+
+    def test_a_failed_call_keeps_an_out_directory_that_existed(self, tmp_path):
+        cfg = _write(tmp_path, doc(mu={"atoms": [[0, 5]]}, numerical={"h": 0.01, "T": 200}))
+        out = tmp_path / "out"
+        out.mkdir()
+        assert cli_main(["meansquare", "--config", cfg, "--out", str(out)]) == 3
+        assert list(out.iterdir()) == []
 
     def test_meansquare_bytes_do_not_depend_on_the_blas_thread_count(self, tmp_path):
         # 40001 grid points: BLAS would split a dot product of the decay fits
@@ -616,6 +635,81 @@ class TestCli:
         )
         assert proc.returncode == 0
         assert (tmp_path / "resolvent.csv").exists()
+
+
+def _glibc_mallopt():
+    import ctypes
+
+    if platform.libc_ver()[0] != "glibc":
+        return False
+    return hasattr(ctypes.CDLL(None), "mallopt")
+
+
+class TestMallocThresholds:
+    @pytest.fixture
+    def unset(self):
+        # the thresholds are set once per process; the test starts unset
+        cli_mod._fix_malloc_thresholds.cache_clear()
+        yield
+        cli_mod._fix_malloc_thresholds.cache_clear()
+
+    @pytest.mark.skipif(not _glibc_mallopt(), reason="needs glibc's mallopt")
+    def test_repeated_meansquare_calls_reuse_their_temporaries(self, tmp_path):
+        # glibc's dynamic thresholds unmap the freed temporaries of a
+        # 40001-point call, and the next call faults them in again:
+        # about 18000 minor faults over calls 2 and 3 without fixed thresholds
+        cfg = _write(tmp_path, doc(numerical={"h": 5e-4, "T": 20}))
+        script = (
+            "import resource, sys\n"
+            "from sdde_meansq.cli import main\n"
+            "def call(i):\n"
+            "    assert main(['meansquare', '--config', sys.argv[1],\n"
+            "                 '--out', f'{sys.argv[2]}/{i}']) == 0\n"
+            "call(0)\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "call(1)\n"
+            "call(2)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script, cfg, str(tmp_path)],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) < 1000
+
+    def test_without_mallopt_the_cli_writes_the_same_bytes(self, tmp_path, monkeypatch, unset):
+        import ctypes
+
+        cfg = _write(tmp_path, doc(numerical={"h": 0.01, "T": 2}))
+        argv = ["meansquare", "--config", cfg, "--out"]
+        assert cli_main(argv + [str(tmp_path / "a")]) == 0
+        cli_mod._fix_malloc_thresholds.cache_clear()
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: object())
+        assert cli_main(argv + [str(tmp_path / "b")]) == 0
+        name = "meansq_renewal.csv"
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_thresholds_are_set_once_per_process(self, tmp_path, monkeypatch, unset):
+        import ctypes
+
+        calls = []
+
+        def mallopt(param, value):
+            calls.append((param, value))
+            return 1
+
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: SimpleNamespace(mallopt=mallopt))
+        cfg = _write(tmp_path, doc(numerical={"h": 0.01, "T": 2}))
+        for out in ("a", "b"):
+            assert cli_main(["classify", "--config", cfg, "--out", str(tmp_path / out)]) == 0
+        assert calls == [(-1, 32 << 20), (-3, 4 << 20)]
+
+    def test_importing_the_package_sets_no_threshold(self):
+        script = (
+            "import sdde_meansq, sdde_meansq.cli as cli\n"
+            "assert cli._fix_malloc_thresholds.cache_info().currsize == 0\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestRunPipeline:

@@ -324,7 +324,7 @@ class TestOverflow:
         out = tmp_path / "out"
         assert cli_main([command, "--config", str(cfg), "--out", str(out)]) == 3
         assert message in capsys.readouterr().err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     @pytest.mark.parametrize("phi, time", [(1e150, "10.2"), (1e160, "0;")])
     @pytest.mark.parametrize("command", ["classify", "meansquare"])
@@ -340,7 +340,7 @@ class TestOverflow:
         assert f"forcing G(x_t)^2 leaves the floating-point range at t = {time}" in (
             capsys.readouterr().err
         )
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_resolvent_overflow_is_caught_before_a_small_kernel_overflows(self, tmp_path, capsys):
         # G(r_s)^2 = 1e-6 r^2 would overflow only near t = 6.3
