@@ -63,9 +63,9 @@ def main() -> int:
         k = round(h / h_fine)
         dw = dw_fine.reshape(-1, k).sum(axis=1)
         phi = PhiSpec("constant", value=1.0).expand(1.0, h)
-        rec = simulate_single_path(mu, nu, phi, h, 2.0, dw)
+        rec = simulate_single_path(mu, nu, phi, dw)
         r = compute_resolvent(mu, h, 2.0)
-        x = deterministic_solution(mu, phi, h, 2.0)
+        x = deterministic_solution(mu, phi, 2.0)
         errs.append(variation_of_constants_residual(rec, r, x))
     order_table("stochastic-convolution residual (common refinement):", hs, errs)
     return 0

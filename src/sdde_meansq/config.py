@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ALPHA_MISMATCH, BAD_VALUE, SCHEMA_INVALID, ConfigurationError
 from .measures import CompiledFunctional, Segment, SignedMeasure
-from .montecarlo import McSettings
+from .montecarlo import SimulationConfig
 from .quadrature import exact_divisions, require_match, require_positive, times_exp
 
 
@@ -74,7 +74,7 @@ class ProblemSpec:
     h: float
     T: float
     band: float | None = None
-    mc: McSettings | None = None
+    mc: SimulationConfig | None = None
 
     def __post_init__(self):
         # floats, so that a spec built with ints equals and hashes as its parsed twin
@@ -198,6 +198,10 @@ def _phi(obj, field: str) -> PhiSpec:
     _fail(SCHEMA_INVALID, f"unknown phi generator {kind!r}", field)
 
 
+#: the keys of the config's mc block and the SimulationConfig fields they set
+_MC_FIELDS = {"paths": "path_count", "seed": "master_seed", "workers": "worker_count"}
+
+
 def parse_config(text: str) -> ProblemSpec:
     """Parse and validate a JSON problem document."""
     try:
@@ -210,8 +214,10 @@ def parse_config(text: str) -> ProblemSpec:
     num = _object(doc["numerical"], "numerical", ("h", "T", "band", "mc"), required=("h", "T"))
     mc = None
     if num.get("mc") is not None:
-        mcd = _object(num["mc"], "numerical.mc", ("paths", "seed", "workers"))
-        mc = McSettings(**{k: _integer(v, f"numerical.mc.{k}") for k, v in mcd.items()})
+        mcd = _object(num["mc"], "numerical.mc", _MC_FIELDS)
+        mc = SimulationConfig(
+            **{_MC_FIELDS[k]: _integer(v, f"numerical.mc.{k}") for k, v in mcd.items()}
+        )
     return ProblemSpec(
         alpha=alpha,
         mu=_measure(doc["mu"], alpha, "mu"),

@@ -11,8 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ATOM_OFF_GRID, BAD_VALUE, PHI_SAMPLES_MISMATCH, ConfigurationError
-from .quadrature import DIV_RTOL, convolve, exact_divisions
+from .errors import (
+    ALPHA_MISMATCH, ATOM_OFF_GRID, BAD_VALUE, PHI_SAMPLES_MISMATCH, ConfigurationError,
+)
+from .quadrature import DIV_RTOL, convolve, exact_divisions, require_match
 
 #: atoms must hit a grid node within this fraction of the step
 ATOM_RTOL = 1e-9
@@ -91,7 +93,10 @@ def segment_nodes(alpha: float, h: float) -> np.ndarray:
 
 @dataclass(eq=False)
 class Segment:
-    """A function sampled on the uniform grid -alpha, -alpha+h, ..., 0: one finite value a node."""
+    """A function sampled on the uniform grid -alpha, -alpha+h, ..., 0: one finite value a node.
+
+    The solvers that start from a segment take their step and delay from it.
+    """
 
     alpha: float
     step: float
@@ -116,6 +121,11 @@ class Segment:
         with np.errstate(over="ignore", invalid="ignore"):
             values = fn(segment_nodes(alpha, h))
         return cls(alpha, h, values)
+
+    def require_on(self, *measures: SignedMeasure) -> None:
+        """ALPHA_MISMATCH unless every measure lives on this segment's [-alpha, 0]."""
+        for m in measures:
+            require_match(m.alpha, self.alpha, ALPHA_MISMATCH, "measure alpha != segment alpha")
 
 
 class CompiledFunctional:

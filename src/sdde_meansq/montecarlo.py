@@ -67,44 +67,26 @@ def _at_least(value: int, least: int, field: str) -> None:
         raise ConfigurationError(BAD_VALUE, f"must be at least {least}, got {value}", field=field)
 
 
-def check_mc_limits(paths: int, seed: int, workers: int, prefix: str = "") -> None:
-    """The limits of a Monte Carlo run; a value past one is BAD_VALUE on field prefix + name.
-
-    A path's stream key holds the seed in 64 bits, so any other seed would
-    give the draws of the seed it wraps to.
-    """
-    _at_least(paths, 2, prefix + "paths")
-    if not 0 <= seed < 2**64:
-        raise ConfigurationError(BAD_VALUE, f"must lie in [0, 2**64), got {seed}", prefix + "seed")
-    _at_least(workers, 1, prefix + "workers")
-
-
-@dataclass(frozen=True)
-class McSettings:
-    """Monte Carlo block of the config; the one home of the Monte Carlo defaults."""
-
-    paths: int = 1000
-    seed: int = 0
-    workers: int = 1
-
-    def __post_init__(self):
-        check_mc_limits(self.paths, self.seed, self.workers, "numerical.mc.")
-
-
 @dataclass(frozen=True)
 class SimulationConfig:
-    """Monte Carlo run parameters; results depend only on these and the problem."""
+    """The config's Monte Carlo block, ``numerical.mc``: the one home of its defaults and limits.
 
-    step: float
-    horizon: float
-    path_count: int
-    master_seed: int = McSettings.seed
-    worker_count: int = McSettings.workers
+    A value past a limit is BAD_VALUE on its config field.  A path's stream
+    key holds the seed in 64 bits, so any other seed would give the draws of
+    the seed it wraps to.
+    """
+
+    path_count: int = 1000
+    master_seed: int = 0
+    worker_count: int = 1
 
     def __post_init__(self):
-        require_positive(self.step, "step")
-        require_positive(self.horizon, "horizon")
-        check_mc_limits(self.path_count, self.master_seed, self.worker_count)
+        _at_least(self.path_count, 2, "numerical.mc.paths")
+        if not 0 <= self.master_seed < 2**64:
+            raise ConfigurationError(
+                BAD_VALUE, f"must lie in [0, 2**64), got {self.master_seed}", "numerical.mc.seed"
+            )
+        _at_least(self.worker_count, 1, "numerical.mc.workers")
 
 
 @dataclass(eq=False)
@@ -460,9 +442,9 @@ def _simulate_chunk(f_mu, g_nu, phi_values, n_steps, h, tilt, lo, hi, feed):
 
 
 def simulate_mean_square(
-    mu: SignedMeasure, nu: SignedMeasure, phi: Segment, cfg: SimulationConfig
+    mu: SignedMeasure, nu: SignedMeasure, phi: Segment, cfg: SimulationConfig, T: float
 ) -> MomentEstimate:
-    """Estimate E|X(t)|^2 on the grid by averaging weighted squared paths.
+    """Estimate E|X(t)|^2 on phi's grid over [0, T] by averaging weighted squared paths.
 
     The paths are tilted by the drift lambda = 2 nu({0}), twice the noise
     measure's atom at lag 0, and each X^2 is weighted by its likelihood
@@ -482,21 +464,20 @@ def simulate_mean_square(
     Diverged paths, judged on sqrt(w) |X|, poison the estimate visibly
     (NaN/inf) and are counted.
     """
-    require_match(phi.step, cfg.step, GRID_MISALIGNED, "initial segment step != config step")
-    n_steps = exact_divisions(cfg.horizon, cfg.step, "horizon")
-    f_mu = CompiledFunctional(mu, cfg.step)
-    g_nu = CompiledFunctional(nu, cfg.step)
+    phi.require_on(mu, nu)
+    h = phi.step
+    n_steps = exact_divisions(require_positive(T, "horizon"), h, "horizon")
+    f_mu = CompiledFunctional(mu, h)
+    g_nu = CompiledFunctional(nu, h)
     tilt = 2.0 * g_nu.atom_at.get(g_nu.n_intervals, 0.0)
     m_total = cfg.path_count
     bounds = [(lo, min(lo + CHUNK, m_total)) for lo in range(0, m_total, CHUNK)]
 
     budget = _thread_budget(cfg.worker_count)
     with ThreadPoolExecutor(max_workers=1) if budget > 1 else nullcontext() as helper:
-        feed = _increment_blocks(
-            cfg.master_seed, bounds, n_steps, cfg.step, tilt * cfg.step, helper
-        )
+        feed = _increment_blocks(cfg.master_seed, bounds, n_steps, h, tilt * h, helper)
         results = [
-            _simulate_chunk(f_mu, g_nu, phi.values, n_steps, cfg.step, tilt, lo, hi, feed)
+            _simulate_chunk(f_mu, g_nu, phi.values, n_steps, h, tilt, lo, hi, feed)
             for lo, hi in bounds
         ]
 
@@ -518,25 +499,21 @@ def simulate_mean_square(
         stderr = np.ldexp(np.sqrt(np.maximum(var, 0.0) / m_total), top)
         share = np.where(scaled_sq == 0.0, 0.0, top_sq / scaled_sq)
     return MomentEstimate(
-        cfg.step, mean_sq, stderr, m_total, cfg.master_seed, diverged, tilt,
+        h, mean_sq, stderr, m_total, cfg.master_seed, diverged, tilt,
         float(np.max(share)),
     )
 
 
 def simulate_single_path(
-    mu: SignedMeasure,
-    nu: SignedMeasure,
-    phi: Segment,
-    h: float,
-    T: float,
-    increments: np.ndarray,
+    mu: SignedMeasure, nu: SignedMeasure, phi: Segment, increments: np.ndarray
 ) -> PathRecord:
-    """One path driven by the given increments, with its noise terms recorded."""
-    n_steps = exact_divisions(T, h, "horizon")
+    """One path on phi's grid driven by the given increments, one a step, with its noise terms."""
+    phi.require_on(mu, nu)
+    h = phi.step
     increments = np.asarray(increments, dtype=float)
-    if increments.shape != (n_steps,):
-        raise ConfigurationError(BAD_VALUE, "increments must have one entry per step")
-    n_hist = phi.values.size - 1
+    if increments.ndim != 1:
+        raise ConfigurationError(BAD_VALUE, "increments must be a 1-d array")
+    n_steps, n_hist = increments.size, phi.values.size - 1
     path = np.empty((n_hist + n_steps + 1, 1))
     path[: n_hist + 1, 0] = phi.values
     g_nu = CompiledFunctional(nu, h)
@@ -556,6 +533,7 @@ def variation_of_constants_residual(
     Rebuilds x(t) + sum over n < m of r(t_m - t_n) G(X_at_t_n) dW_n from the
     recorded data and returns max_t |X(t) - rebuilt(t)|.
     """
+    require_match(r.step, x.step, GRID_MISALIGNED, "resolvent step != solution step")
     g_dw = record.noise_values * record.increments
     n = g_dw.size
     xv = x.trace.values

@@ -11,7 +11,7 @@ import numpy as np
 from ._g17 import g17_rows
 from .config import ProblemSpec, _named, config_hash
 from .errors import ConfigurationError, NumericalError, SCHEMA_INVALID
-from .montecarlo import MomentEstimate, SimulationConfig, simulate_mean_square
+from .montecarlo import MomentEstimate, simulate_mean_square
 from .quadrature import require_finite
 from .renewal import RenewalProblem, mean_square_trace, solve_renewal
 from .resolvent import (
@@ -56,7 +56,7 @@ def analyze(spec: ProblemSpec) -> Analysis:
     h, T = spec.h, spec.T
     r = compute_resolvent(spec.mu, h, T)
     phi_seg = spec.phi_segment()
-    x = deterministic_solution(spec.mu, phi_seg, h, T)
+    x = deterministic_solution(spec.mu, phi_seg, T)
     with np.errstate(over="ignore"):
         require_finite(r.trace.values**2, h, "squared resolvent r^2")
         gr = g_of_r_trace(r, spec.nu)
@@ -119,15 +119,13 @@ def renewal_mean_square(analysis: Analysis) -> GridTrace:
 
 
 def monte_carlo_mean_square(spec: ProblemSpec) -> MomentEstimate:
-    mc = spec.mc
-    if mc is None:
+    if spec.mc is None:
         raise ConfigurationError(
             SCHEMA_INVALID,
             "no Monte Carlo settings: add numerical.mc",
             field="numerical.mc",
         )
-    cfg = SimulationConfig(spec.h, spec.T, mc.paths, mc.seed, mc.workers)
-    return simulate_mean_square(spec.mu, spec.nu, spec.phi_segment(), cfg)
+    return simulate_mean_square(spec.mu, spec.nu, spec.phi_segment(), spec.mc, spec.T)
 
 
 #: ``emit_csv`` formats and writes this many rows at a time

@@ -61,9 +61,14 @@ def require_positive(value: float, field: str) -> float:
 
 
 def exact_divisions(span: float, h: float, what: str = "span") -> int:
-    """Number of steps of size ``h`` in ``span``, requiring exact divisibility."""
+    """Number of steps of size ``h`` in ``span``, requiring exact divisibility.
+
+    A span that is negative or not finite is BAD_VALUE on ``what``; 0 has 0 steps.
+    """
+    if not 0.0 <= span < math.inf:
+        raise ConfigurationError(BAD_VALUE, f"must be finite and at least 0, got {span}", what)
     n = round(span / require_positive(h, "step"))
-    if n < 0 or abs(span - n * h) > DIV_RTOL * max(abs(span), h):
+    if abs(span - n * h) > DIV_RTOL * max(span, h):
         raise ConfigurationError(
             GRID_MISALIGNED, f"step {h} does not divide {what} {span} exactly"
         )

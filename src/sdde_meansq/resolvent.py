@@ -20,11 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, ALPHA_MISMATCH, BAD_VALUE, GRID_MISALIGNED
+from .errors import ConfigurationError, BAD_VALUE
 from .measures import CompiledFunctional, Segment, SignedMeasure
-from .quadrature import (
-    corrected_trapezoid, exact_divisions, log_linear_fit, require_match, solve_causal,
-)
+from .quadrature import corrected_trapezoid, exact_divisions, log_linear_fit, solve_causal
 
 #: least-squares envelope slopes flatter than this count as "no trend"
 _FLAT_SLOPE = 1e-12
@@ -104,16 +102,13 @@ def compute_resolvent(mu: SignedMeasure, h: float, T: float) -> HistoryTable:
     return HistoryTable(mu.alpha, h, R)
 
 
-def deterministic_solution(
-    mu: SignedMeasure, phi: Segment, h: float, T: float
-) -> HistoryTable:
-    """Solution of the delay equation with initial segment ``phi`` on [0, T].
+def deterministic_solution(mu: SignedMeasure, phi: Segment, T: float) -> HistoryTable:
+    """Solution of the delay equation with initial segment ``phi`` on [0, T], at phi's step.
 
     ``padded`` holds ``phi`` up to time 0.
     """
-    require_match(mu.alpha, phi.alpha, ALPHA_MISMATCH, "measure alpha != segment alpha")
-    require_match(phi.step, h, GRID_MISALIGNED, "initial segment step != solver step")
-    N = exact_divisions(mu.alpha, h, "alpha")
+    phi.require_on(mu)
+    h, N = phi.step, phi.values.size - 1
     steps = exact_divisions(T, h, "horizon")
     X = np.zeros(N + steps + 1)
     X[: N + 1] = phi.values

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, ALPHA_MISMATCH
+from .errors import NumericalError, ALPHA_MISMATCH, GRID_MISALIGNED
 from .measures import CompiledFunctional, Segment, SignedMeasure, total_variation
 from .quadrature import (
     corrected_trapezoid, exact_divisions, require_match, require_positive, times_exp,
@@ -191,6 +191,8 @@ def limit_constant(f: GridTrace, r: HistoryTable, g: GridTrace, rate: float) -> 
 
     ``rate`` is kappa when the kernel mass exceeds one and 0 when it is one.
     """
+    for trace in (f, g):
+        require_match(trace.step, r.step, GRID_MISALIGNED, "trace step != resolvent step")
     m = kernel_first_moment(g, rate)
     if m <= 0.0:
         raise NumericalError(f"tilted kernel first moment {m:.3e} is not positive")
@@ -234,7 +236,7 @@ def detect_degenerate(
     if abs(g_phi) > DEGENERACY_TOL * tv * float(np.abs(phi_seg.values).max()):
         return False
     steps = round(T / h_det)
-    x = deterministic_solution(mu, phi_seg, h_det, steps * h_det)
+    x = deterministic_solution(mu, phi_seg, steps * h_det)
     g_trace = G.trace(x.padded)
     # segment t lies in blocks t // B and t // B + 1 of the padded history
     B = G.n_intervals + 1

@@ -198,8 +198,8 @@ def test_criterion_4_renewal_vs_monte_carlo():
         passed = 0
         worst = 0.0
         for seed in mc_seeds:
-            cfg = SimulationConfig(step=h, horizon=T, path_count=paths, master_seed=seed)
-            est = simulate_mean_square(spec.mu, spec.nu, spec.phi_segment(), cfg)
+            cfg = SimulationConfig(path_count=paths, master_seed=seed)
+            est = simulate_mean_square(spec.mu, spec.nu, spec.phi_segment(), cfg, T)
             z = np.abs((est.mean_sq[t_idx] - ren[t_idx]) / est.stderr[t_idx])
             worst = max(worst, float(z.max()))
             passed += int(bool(np.all(z <= 3.0)))
@@ -231,7 +231,7 @@ def test_criterion_5_degenerate_case():
     ends = np.empty(n_paths)
     for i in range(n_paths):
         dw = _normal_increments(404, i, i + 1, n_steps, h)[:, 0]
-        ends[i] = simulate_single_path(spec.mu, spec.nu, phi_seg, h, 1.0, dw).values[-1]
+        ends[i] = simulate_single_path(spec.mu, spec.nu, phi_seg, dw).values[-1]
     var_1 = float(np.var(ends, ddof=1))
 
     ok = (
@@ -275,9 +275,9 @@ def test_criterion_6_convergence_orders():
         k = round(h / h_fine)
         dw = dw_fine.reshape(-1, k).sum(axis=1)
         phi = parse_config(json.dumps(_gbm_doc(1.0, h, 2.0))).phi_segment()
-        rec = simulate_single_path(mu, nu, phi, h, 2.0, dw)
+        rec = simulate_single_path(mu, nu, phi, dw)
         r = compute_resolvent(mu, h, 2.0)
-        x = deterministic_solution(mu, phi, h, 2.0)
+        x = deterministic_solution(mu, phi, 2.0)
         residuals.append(variation_of_constants_residual(rec, r, x))
     voc_order = float(np.polyfit(np.log2(levels), np.log2(residuals), 1)[0])
 

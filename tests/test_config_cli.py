@@ -81,7 +81,7 @@ class TestParseConfig:
             parse_config(json.dumps(d))
         assert err.value.code == "BAD_VALUE" and err.value.field == "numerical.mc.seed"
         d["numerical"]["mc"]["seed"] = seed % 2**64
-        assert parse_config(json.dumps(d)).mc.seed == seed % 2**64
+        assert parse_config(json.dumps(d)).mc.master_seed == seed % 2**64
 
     def test_phi_samples_length_checked(self):
         bad = doc(phi={"samples": [1.0, 2.0, 3.0]})

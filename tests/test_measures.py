@@ -15,13 +15,17 @@ from sdde_meansq import (
     deterministic_solution,
     g_of_r_trace,
     simulate_mean_square,
+    simulate_single_path,
+    variation_of_constants_residual,
 )
 from sdde_meansq.config import ProblemSpec
 from sdde_meansq.errors import ConfigurationError
 from sdde_meansq.measures import CompiledFunctional, Segment, segment_nodes, total_variation
+from sdde_meansq.montecarlo import PathRecord
 from sdde_meansq.quadrature import convolve
 from sdde_meansq.renewal import mean_square_trace
-from sdde_meansq.stability import solution_functional_trace
+from sdde_meansq.resolvent import HistoryTable
+from sdde_meansq.stability import limit_constant, solution_functional_trace
 
 E = math.e
 
@@ -97,7 +101,19 @@ MISMATCH_SITES = {
     ),
     "deterministic_solution alpha": (
         "ALPHA_MISMATCH",
-        lambda: deterministic_solution(_decay(1.0), _ones(ALPHA_OFF, ALPHA_OFF / 10), 0.1, 1.0),
+        lambda: deterministic_solution(_decay(1.0), _ones(ALPHA_OFF, ALPHA_OFF / 10), 1.0),
+    ),
+    "simulate_mean_square alpha": (
+        "ALPHA_MISMATCH",
+        lambda: simulate_mean_square(
+            _decay(1.0), _decay(1.0), _ones(ALPHA_OFF, ALPHA_OFF / 10), SimulationConfig(2), 1.0
+        ),
+    ),
+    "simulate_single_path alpha": (
+        "ALPHA_MISMATCH",
+        lambda: simulate_single_path(
+            _decay(1.0), _decay(1.0), _ones(ALPHA_OFF, ALPHA_OFF / 10), np.zeros(10)
+        ),
     ),
     "g_of_r_trace": (
         "ALPHA_MISMATCH",
@@ -106,17 +122,24 @@ MISMATCH_SITES = {
     "solution_functional_trace": (
         "ALPHA_MISMATCH",
         lambda: solution_functional_trace(
-            deterministic_solution(_decay(1.0), _ones(1.0, 0.1), 0.1, 1.0), _decay(ALPHA_OFF)
+            deterministic_solution(_decay(1.0), _ones(1.0, 0.1), 1.0), _decay(ALPHA_OFF)
         ),
     ),
-    "deterministic_solution step": (
+    "limit_constant": (
         "GRID_MISALIGNED",
-        lambda: deterministic_solution(_decay(0.0), _ones(0.0, STEP_OFF), 0.1, 1.0),
+        lambda: limit_constant(
+            GridTrace(STEP_OFF, np.ones(11)),
+            compute_resolvent(_decay(1.0), 0.1, 1.0),
+            GridTrace(0.1, np.ones(11)),
+            0.0,
+        ),
     ),
-    "simulate_mean_square": (
+    "variation_of_constants_residual": (
         "GRID_MISALIGNED",
-        lambda: simulate_mean_square(
-            _decay(0.0), _decay(0.0), _ones(0.0, STEP_OFF), SimulationConfig(0.1, 1.0, 2)
+        lambda: variation_of_constants_residual(
+            PathRecord(np.ones(11), np.zeros(10), np.zeros(10)),
+            compute_resolvent(_decay(0.0), 0.1, 1.0),
+            HistoryTable(0.0, STEP_OFF, np.ones(11)),
         ),
     ),
     "RenewalProblem": (

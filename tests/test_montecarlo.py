@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -18,6 +19,7 @@ from sdde_meansq import (
     SimulationConfig,
     compute_resolvent,
     deterministic_solution,
+    parse_config,
     simulate_mean_square,
     simulate_single_path,
     variation_of_constants_residual,
@@ -29,7 +31,6 @@ from sdde_meansq.montecarlo import (
     CHUNK,
     DIVERGE_LIMIT,
     RESCALE_BITS,
-    McSettings,
     _euler_maruyama,
     _increment_blocks,
     _increments_from_bits,
@@ -61,7 +62,7 @@ def stacked_single_paths(mu, nu, phi, h, T, seed, m, tilt=0.0):
     n_steps = round(T / h)
     return np.stack([
         simulate_single_path(
-            mu, nu, phi, h, T, _normal_increments(seed, i, i + 1, n_steps, h)[:, 0] + tilt * h
+            mu, nu, phi, _normal_increments(seed, i, i + 1, n_steps, h)[:, 0] + tilt * h
         ).values
         for i in range(m)
     ], axis=1)
@@ -192,7 +193,7 @@ class TestWindowSums:
         phi = PhiSpec("exponential", rate=-1.0).expand(1.0, h)
         path = np.stack([
             simulate_single_path(
-                mu, NU_DENSITY, phi, h, T, _normal_increments(2, i, i + 1, round(T / h), h)[:, 0]
+                mu, NU_DENSITY, phi, _normal_increments(2, i, i + 1, round(T / h), h)[:, 0]
             ).values
             for i in range(2)
         ], axis=1)
@@ -266,8 +267,8 @@ class TestIncrements:
 class TestSimulateMeanSquare:
     def test_zero_noise_reduces_to_deterministic(self):
         h = 1e-3
-        cfg = SimulationConfig(step=h, horizon=1.0, path_count=16, master_seed=5)
-        est = simulate_mean_square(MU, NU_ZERO, phi_const(h), cfg)
+        cfg = SimulationConfig(path_count=16, master_seed=5)
+        est = simulate_mean_square(MU, NU_ZERO, phi_const(h), cfg, 1.0)
         assert np.all(est.stderr == 0.0)
         t = est.times()
         assert np.abs(est.mean_sq - np.exp(-2.0 * t)).max() < 3.0 * h
@@ -276,31 +277,33 @@ class TestSimulateMeanSquare:
     def test_moment_matches_closed_form(self):
         # drift -1, unit noise: E|X(t)|^2 = e^{-t}
         h = 1e-3
-        cfg = SimulationConfig(step=h, horizon=1.0, path_count=4000, master_seed=21)
-        est = simulate_mean_square(MU, NU, phi_const(h), cfg)
+        cfg = SimulationConfig(path_count=4000, master_seed=21)
+        est = simulate_mean_square(MU, NU, phi_const(h), cfg, 1.0)
         i = round(1.0 / h)
         z = (est.mean_sq[i] - math.exp(-1.0)) / est.stderr[i]
         assert abs(z) < 4.0
 
     def test_reproducible_across_worker_counts(self, monkeypatch):
         h = 0.01
-        base = dict(step=h, horizon=1.0, path_count=3000, master_seed=77)
-        est1 = simulate_mean_square(MU, NU, phi_const(h), SimulationConfig(**base, worker_count=1))
+        base = dict(path_count=3000, master_seed=77)
+        est1 = simulate_mean_square(MU, NU, phi_const(h), SimulationConfig(**base), 1.0)
         monkeypatch.setenv("SDDE_MEANSQ_THREADS", "4")
-        est2 = simulate_mean_square(MU, NU, phi_const(h), SimulationConfig(**base, worker_count=8))
+        est2 = simulate_mean_square(
+            MU, NU, phi_const(h), SimulationConfig(**base, worker_count=8), 1.0
+        )
         assert np.array_equal(est1.mean_sq, est2.mean_sq)
         assert np.array_equal(est1.stderr, est2.stderr)
 
     def test_density_reproducible_across_worker_counts(self, monkeypatch):
         h = 0.01
-        base = dict(step=h, horizon=1.0, path_count=3000, master_seed=77)
+        base = dict(path_count=3000, master_seed=77)
         phi = phi_const(h)
         est1 = simulate_mean_square(
-            MU, NU_DENSITY, phi, SimulationConfig(**base, worker_count=1)
+            MU, NU_DENSITY, phi, SimulationConfig(**base, worker_count=1), 1.0
         )
         monkeypatch.setenv("SDDE_MEANSQ_THREADS", "4")
         est2 = simulate_mean_square(
-            MU, NU_DENSITY, phi, SimulationConfig(**base, worker_count=8)
+            MU, NU_DENSITY, phi, SimulationConfig(**base, worker_count=8), 1.0
         )
         assert np.array_equal(est1.mean_sq, est2.mean_sq)
         assert np.array_equal(est1.stderr, est2.stderr)
@@ -321,10 +324,10 @@ class TestSimulateMeanSquare:
     ])
     def test_helper_thread_changes_no_bit(self, monkeypatch, mu, nu, x0, h, T, m):
         monkeypatch.delenv("SDDE_MEANSQ_THREADS", raising=False)
-        base = dict(step=h, horizon=T, path_count=m, master_seed=13)
+        base = dict(path_count=m, master_seed=13)
         phi = phi_const(h, x0)
-        one = simulate_mean_square(mu, nu, phi, SimulationConfig(**base, worker_count=1))
-        two = simulate_mean_square(mu, nu, phi, SimulationConfig(**base, worker_count=2))
+        one = simulate_mean_square(mu, nu, phi, SimulationConfig(**base, worker_count=1), T)
+        two = simulate_mean_square(mu, nu, phi, SimulationConfig(**base, worker_count=2), T)
         assert np.array_equal(one.mean_sq, two.mean_sq)
         assert np.array_equal(one.stderr, two.stderr)
         assert one.max_path_share == two.max_path_share
@@ -350,10 +353,8 @@ class TestSimulateMeanSquare:
 
         monkeypatch.setattr(montecarlo, "_increments_from_bits", recorded)
         before = set(threading.enumerate())
-        cfg = SimulationConfig(
-            step=0.01, horizon=6.0, path_count=CHUNK + 5, master_seed=2, worker_count=workers
-        )
-        simulate_mean_square(MU, NU, phi_const(0.01), cfg)
+        cfg = SimulationConfig(path_count=CHUNK + 5, master_seed=2, worker_count=workers)
+        simulate_mean_square(MU, NU, phi_const(0.01), cfg, 6.0)
         assert len(ran_on) == 2 * 3
         others = {t for t in ran_on if t is not threading.current_thread()}
         assert len(others) == helpers
@@ -375,8 +376,8 @@ class TestSimulateMeanSquare:
 
         monkeypatch.setattr(montecarlo, "_increments_from_bits", recorded)
         h, m = 0.01, 2 * CHUNK + 37
-        cfg = SimulationConfig(step=h, horizon=T, path_count=m, master_seed=4, worker_count=workers)
-        simulate_mean_square(MU, NU, phi_const(h), cfg)
+        cfg = SimulationConfig(path_count=m, master_seed=4, worker_count=workers)
+        simulate_mean_square(MU, NU, phi_const(h), cfg, T)
         n_steps = round(T / h)
         want = []
         for lo in range(0, m, CHUNK):
@@ -404,10 +405,8 @@ class TestSimulateMeanSquare:
             return calls[-1][1]
 
         monkeypatch.setattr(montecarlo, "_simulate_chunk", recorded)
-        cfg = SimulationConfig(
-            step=0.01, horizon=3.0, path_count=2 * CHUNK + 37, master_seed=6, worker_count=2
-        )
-        simulate_mean_square(MU_DENSITY, NU_DENSITY_TILTED, phi_const(0.01), cfg)
+        cfg = SimulationConfig(path_count=2 * CHUNK + 37, master_seed=6, worker_count=2)
+        simulate_mean_square(MU_DENSITY, NU_DENSITY_TILTED, phi_const(0.01), cfg, 3.0)
         assert len(calls) == 3
         for (f_mu, g_nu, phi_values, n_steps, h, tilt, lo, hi), fed in calls:
             alone = lone_chunk(f_mu, g_nu, phi_values, n_steps, h, 6, lo, hi, tilt)
@@ -427,11 +426,9 @@ class TestSimulateMeanSquare:
 
         monkeypatch.setattr(montecarlo, "_increments_from_bits", failing)
         before = set(threading.enumerate())
-        cfg = SimulationConfig(
-            step=0.01, horizon=6.0, path_count=64, master_seed=2, worker_count=2
-        )
+        cfg = SimulationConfig(path_count=64, master_seed=2, worker_count=2)
         with pytest.raises(ValueError, match="transform failed"):
-            simulate_mean_square(MU, NU, phi_const(0.01), cfg)
+            simulate_mean_square(MU, NU, phi_const(0.01), cfg, 6.0)
         assert ran_on[2] is not threading.current_thread()
         assert not ran_on[2].is_alive()
         assert set(threading.enumerate()) <= before
@@ -439,8 +436,8 @@ class TestSimulateMeanSquare:
     def test_diverged_paths_reported_not_dropped(self):
         # drift +60 at step .01 multiplies each path by ~1.6 per step: overflow
         mu = SignedMeasure(1.0, atoms=((0.0, 60.0),))
-        cfg = SimulationConfig(step=0.01, horizon=10.0, path_count=4, master_seed=1)
-        est = simulate_mean_square(mu, NU_ZERO, phi_const(0.01), cfg)
+        cfg = SimulationConfig(path_count=4, master_seed=1)
+        est = simulate_mean_square(mu, NU_ZERO, phi_const(0.01), cfg, 10.0)
         assert est.diverged_paths == 4
         assert not est.valid
         assert not np.isfinite(est.mean_sq[-1])
@@ -451,8 +448,8 @@ class TestSimulateMeanSquare:
         # the Euler-Maruyama chain's exact mean ((1 - h)^2 + 4h)^n
         h = 1e-3
         nu = SignedMeasure(1.0, atoms=((0.0, 2.0),))
-        cfg = SimulationConfig(step=h, horizon=2.0, path_count=4096, master_seed=8)
-        est = simulate_mean_square(MU, nu, phi_const(h), cfg)
+        cfg = SimulationConfig(path_count=4096, master_seed=8)
+        est = simulate_mean_square(MU, nu, phi_const(h), cfg, 2.0)
         assert est.tilt == 4.0
         for t in (0.5, 1.0, 2.0):
             n = round(t / h)
@@ -481,8 +478,8 @@ class TestSimulateMeanSquare:
         lam = 2.0 * c
         mu = SignedMeasure(1.0, atoms=((0.0, b),))
         nu = SignedMeasure(1.0, atoms=((0.0, c),))
-        cfg = SimulationConfig(step=h, horizon=T, path_count=m, master_seed=3)
-        est = simulate_mean_square(mu, nu, phi_const(h, x0), cfg)
+        cfg = SimulationConfig(path_count=m, master_seed=3)
+        est = simulate_mean_square(mu, nu, phi_const(h, x0), cfg, T)
         assert est.tilt == lam
         assert est.valid and est.diverged_paths == 0
         assert np.all(np.isfinite(est.mean_sq)) and np.all(np.isfinite(est.stderr))
@@ -510,8 +507,8 @@ class TestSimulateMeanSquare:
     ])
     def test_max_path_share_flags_a_single_path_estimate(self, c, h, T, m, low, high):
         nu = SignedMeasure(1.0, atoms=((0.0, c),))
-        cfg = SimulationConfig(step=h, horizon=T, path_count=m, master_seed=3)
-        est = simulate_mean_square(MU, nu, phi_const(h), cfg)
+        cfg = SimulationConfig(path_count=m, master_seed=3)
+        est = simulate_mean_square(MU, nu, phi_const(h), cfg, T)
         assert low <= est.max_path_share <= high
 
     def test_density_rescale_matches_single_paths(self):
@@ -520,9 +517,9 @@ class TestSimulateMeanSquare:
         x0, h, T, m, c = 1e148, 1e-3, 1.0, 16, 5.0
         mu = SignedMeasure(1.0, atoms=((0.0, -20.0),))
         nu = SignedMeasure(1.0, atoms=((0.0, c),), density=NU_DENSITY.density)
-        cfg = SimulationConfig(step=h, horizon=T, path_count=m, master_seed=3)
+        cfg = SimulationConfig(path_count=m, master_seed=3)
         phi = phi_const(h, x0)
-        est = simulate_mean_square(mu, nu, phi, cfg)
+        est = simulate_mean_square(mu, nu, phi, cfg, T)
         lam = 2.0 * c
         assert est.tilt == lam and est.valid
         assert np.all(np.isfinite(est.mean_sq)) and np.all(np.isfinite(est.stderr))
@@ -538,13 +535,13 @@ class TestSimulateMeanSquare:
     def test_no_lag_zero_atom_is_plain_mean_of_squares(self):
         h, T, m = 0.01, 2.0, 12
         nu = SignedMeasure(1.0, atoms=((-1.0, 0.5),))
-        cfg = SimulationConfig(step=h, horizon=T, path_count=m, master_seed=13)
-        est = simulate_mean_square(MU, nu, phi_const(h), cfg)
+        cfg = SimulationConfig(path_count=m, master_seed=13)
+        est = simulate_mean_square(MU, nu, phi_const(h), cfg, T)
         assert est.tilt == 0.0
         n_steps = round(T / h)
         values = np.stack([
             simulate_single_path(
-                MU, nu, phi_const(h), h, T, _normal_increments(13, i, i + 1, n_steps, h)[:, 0]
+                MU, nu, phi_const(h), _normal_increments(13, i, i + 1, n_steps, h)[:, 0]
             ).values
             for i in range(m)
         ], axis=1)
@@ -553,8 +550,8 @@ class TestSimulateMeanSquare:
     def test_density_noise_matches_single_paths(self):
         h, T, m = 0.01, 2.0, 12
         mu = SignedMeasure(1.0, atoms=((0.0, -1.0),), density=((-1.0, 0.4), (-0.3, -0.2)))
-        cfg = SimulationConfig(step=h, horizon=T, path_count=m, master_seed=13)
-        est = simulate_mean_square(mu, NU_DENSITY, phi_const(h), cfg)
+        cfg = SimulationConfig(path_count=m, master_seed=13)
+        est = simulate_mean_square(mu, NU_DENSITY, phi_const(h), cfg, T)
         assert est.tilt == 0.0
         values = stacked_single_paths(mu, NU_DENSITY, phi_const(h), h, T, 13, m)
         assert np.array_equal(est.mean_sq, (values * values).sum(axis=1) / m)
@@ -573,7 +570,7 @@ class TestSimulateMeanSquare:
         mu = SignedMeasure(1.0, atoms=((0.0, b),))
         nu = SignedMeasure(1.0, atoms=((0.0, c),))
         dw = _normal_increments(3, path, path + 1, round(T / h), h)[:, 0]
-        rec = simulate_single_path(mu, nu, phi_const(h, x0), h, T, dw + lam * h)
+        rec = simulate_single_path(mu, nu, phi_const(h, x0), dw + lam * h)
         assert np.abs(rec.values).max() > 2.0**512
         exact = x0 * np.cumprod(np.concatenate([[1.0], 1.0 + b * h + c * (dw + lam * h)]))
         assert np.allclose(rec.values, exact, rtol=1e-13, atol=0.0)
@@ -624,10 +621,10 @@ class TestSimulateMeanSquare:
         _normal_increments(0, 0, 1, 1, h)
 
         def peak(T):
-            cfg = SimulationConfig(step=h, horizon=T, path_count=CHUNK, master_seed=1)
+            cfg = SimulationConfig(path_count=CHUNK, master_seed=1)
             tracemalloc.start()
             try:
-                simulate_mean_square(MU, NU, phi_const(h), cfg)
+                simulate_mean_square(MU, NU, phi_const(h), cfg, T)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -639,11 +636,11 @@ class TestSimulateMeanSquare:
         # feed's four blocks: two of raw bits, which double as the weighted
         # rows, and two of increments.  A fifth block would add 11 %.
         h, N = 1e-3, 1000
-        cfg = SimulationConfig(step=h, horizon=0.5, path_count=2 * CHUNK, master_seed=1)
-        simulate_mean_square(MU, NU, phi_const(h), cfg)
+        cfg = SimulationConfig(path_count=2 * CHUNK, master_seed=1)
+        simulate_mean_square(MU, NU, phi_const(h), cfg, 0.5)
         tracemalloc.start()
         try:
-            simulate_mean_square(MU, NU, phi_const(h), cfg)
+            simulate_mean_square(MU, NU, phi_const(h), cfg, 0.5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -652,58 +649,60 @@ class TestSimulateMeanSquare:
 
     def test_path_count_floor(self):
         with pytest.raises(ConfigurationError) as err:
-            SimulationConfig(step=0.01, horizon=1.0, path_count=1)
-        assert err.value.code == BAD_VALUE and err.value.field == "paths"
+            SimulationConfig(path_count=1)
+        assert err.value.code == BAD_VALUE and err.value.field == "numerical.mc.paths"
 
     @pytest.mark.parametrize("field, limit", [
-        ("seed", {"master_seed": -1}),
-        ("seed", {"master_seed": 2**64}),
-        ("workers", {"worker_count": 0}),
-        ("workers", {"worker_count": -3}),
+        ("numerical.mc.seed", {"master_seed": -1}),
+        ("numerical.mc.seed", {"master_seed": 2**64}),
+        ("numerical.mc.workers", {"worker_count": 0}),
+        ("numerical.mc.workers", {"worker_count": -3}),
         ("step", {"step": math.nan}),
         ("step", {"step": math.inf}),
         ("horizon", {"horizon": math.nan}),
         ("horizon", {"horizon": math.inf}),
-    ])
+        ("horizon", {"horizon": 0.0}),
+        ("horizon", {"horizon": -1.0}),
+    ], ids=lambda v: v.rpartition(".")[2] if isinstance(v, str) else None)  # id: field's last name
     def test_limits_are_bad_values(self, field, limit):
-        # a seed past 64 bits would draw as the seed it wraps to
+        # a seed past 64 bits would draw as the seed it wraps to; the step
+        # is the initial segment's and the horizon the call's
+        run = {"step": 0.01, "horizon": 1.0, "path_count": 2, **limit}
         with pytest.raises(ConfigurationError) as err:
-            SimulationConfig(**{"step": 0.01, "horizon": 1.0, "path_count": 2, **limit})
+            phi, T = phi_const(run.pop("step")), run.pop("horizon")
+            simulate_mean_square(MU, NU, phi, SimulationConfig(**run), T)
         assert err.value.code == BAD_VALUE and err.value.field == field
 
     def test_limits_admit_their_edges(self):
         for seed in (0, 2**64 - 1):
-            SimulationConfig(step=0.01, horizon=1.0, path_count=2, master_seed=seed, worker_count=1)
+            SimulationConfig(path_count=2, master_seed=seed, worker_count=1)
 
     def test_defaults_are_the_mc_block_defaults(self):
-        mc = McSettings()
-        cfg = SimulationConfig(step=0.01, horizon=1.0, path_count=mc.paths)
-        assert (cfg.master_seed, cfg.worker_count) == (mc.seed, mc.workers)
+        doc = {"alpha": 1.0, "mu": {}, "nu": {}, "phi": {"constant": 1.0},
+               "numerical": {"h": 0.1, "T": 1.0, "mc": {}}}
+        mc = parse_config(json.dumps(doc)).mc
+        assert mc == SimulationConfig() == SimulationConfig(1000, 0, 1)
 
 
-def path_residual(mu, nu, phi, cfg, path_index):
+def path_residual(mu, nu, phi, T, seed, path_index):
     """Max residual of one simulated path in the resolvent representation."""
-    n_steps = round(cfg.horizon / cfg.step)
-    increments = _normal_increments(
-        cfg.master_seed, path_index, path_index + 1, n_steps, cfg.step
-    )[:, 0]
-    record = simulate_single_path(mu, nu, phi, cfg.step, cfg.horizon, increments)
-    r = compute_resolvent(mu, cfg.step, cfg.horizon)
-    x = deterministic_solution(mu, phi, cfg.step, cfg.horizon)
+    h = phi.step
+    increments = _normal_increments(seed, path_index, path_index + 1, round(T / h), h)[:, 0]
+    record = simulate_single_path(mu, nu, phi, increments)
+    r = compute_resolvent(mu, h, T)
+    x = deterministic_solution(mu, phi, T)
     return variation_of_constants_residual(record, r, x)
 
 
 class TestVariationOfConstants:
     def test_zero_noise_residual_is_integrator_gap(self):
         h = 1e-3
-        cfg = SimulationConfig(step=h, horizon=2.0, path_count=2, master_seed=3)
-        res = path_residual(MU, NU_ZERO, phi_const(h), cfg, path_index=0)
+        res = path_residual(MU, NU_ZERO, phi_const(h), 2.0, seed=3, path_index=0)
         assert res < 1e-3
 
     def test_residual_small_at_fine_step(self):
         h = 1e-3
-        cfg = SimulationConfig(step=h, horizon=2.0, path_count=2, master_seed=3)
-        res = path_residual(MU, NU, phi_const(h), cfg, path_index=0)
+        res = path_residual(MU, NU, phi_const(h), 2.0, seed=3, path_index=0)
         assert res < 0.05
 
     def test_refinement_order_with_common_noise(self):
@@ -717,9 +716,9 @@ class TestVariationOfConstants:
             k = round(h / h_fine)
             dw = dw_fine.reshape(-1, k).sum(axis=1)
             phi = phi_const(h)
-            rec = simulate_single_path(MU, NU, phi, h, T, dw)
+            rec = simulate_single_path(MU, NU, phi, dw)
             r = compute_resolvent(MU, h, T)
-            x = deterministic_solution(MU, phi, h, T)
+            x = deterministic_solution(MU, phi, T)
             residuals.append(variation_of_constants_residual(rec, r, x))
         order = np.polyfit(np.log2(levels), np.log2(residuals), 1)[0]
         assert order >= 0.45
@@ -728,8 +727,7 @@ class TestVariationOfConstants:
         e = math.e
         nu = SignedMeasure(1.0, atoms=((0.0, -e), (-1.0, 1.0)))
         phi = PhiSpec("exponential", rate=-1.0).expand(1.0, 1e-3)
-        cfg = SimulationConfig(step=1e-3, horizon=2.0, path_count=2, master_seed=11)
-        res = path_residual(MU, nu, phi, cfg, path_index=0)
+        res = path_residual(MU, nu, phi, 2.0, seed=11, path_index=0)
         assert res < 1e-2
 
 

@@ -94,7 +94,7 @@ class TestAgainstPerStepHeun:
         ref = reference_heun(mu, h, T)
         assert windowed_err(r.trace.values, ref[N:], N) <= 1e-12
         phi = exp_phi(1.0, h, phi_slope)
-        x = deterministic_solution(mu, phi, h, T)
+        x = deterministic_solution(mu, phi, T)
         ref = reference_heun(mu, h, T, phi)
         assert windowed_err(x.trace.values, ref[N:], N) <= 1e-12
 
@@ -167,26 +167,26 @@ class TestExtractSegment:
 
     def test_solution_history(self):
         mu = SignedMeasure(1.0, atoms=((0.0, -1.0),))
-        x = deterministic_solution(mu, const_phi(1.0, 0.25), 0.25, 1.0)
+        x = deterministic_solution(mu, const_phi(1.0, 0.25), 1.0)
         assert np.all(segment_at(x, 0) == 1.0)
 
 
 class TestDeterministicSolution:
     def test_scalar_ode(self):
         mu = SignedMeasure(1.0, atoms=((0.0, -1.0),))
-        x = deterministic_solution(mu, const_phi(1.0, 1e-3), 1e-3, 2.0)
+        x = deterministic_solution(mu, const_phi(1.0, 1e-3), 2.0)
         t = x.trace.times()
         assert np.abs(x.trace.values - np.exp(-t)).max() < 1e-6
 
     def test_zero_initial_segment(self):
         mu = SignedMeasure(1.0, atoms=((0.0, -0.5), (-1.0, 0.25)))
-        x = deterministic_solution(mu, const_phi(1.0, 0.01, 0.0), 0.01, 3.0)
+        x = deterministic_solution(mu, const_phi(1.0, 0.01, 0.0), 3.0)
         assert np.all(x.trace.values == 0.0)
 
     def test_exponential_history_stays_exponential(self):
         # with drift matching the history rate the flow continues e^{-t}
         mu = SignedMeasure(1.0, atoms=((0.0, -1.0),))
-        x = deterministic_solution(mu, exp_phi(1.0, 1e-3, -1.0), 1e-3, 2.0)
+        x = deterministic_solution(mu, exp_phi(1.0, 1e-3, -1.0), 2.0)
         t = x.trace.times()
         assert np.abs(x.trace.values - np.exp(-t)).max() < 1e-6
 
@@ -203,7 +203,7 @@ class TestDeterministicSolution:
         u[-1] = 0.0
         phi_vals = phi_fn(u)
         phi = Segment(alpha, h, phi_vals)
-        x = deterministic_solution(mu, phi, h, T)
+        x = deterministic_solution(mu, phi, T)
         r = compute_resolvent(mu, h, T)
         rp = r.padded  # zero-extended to [-alpha, T]
         n_hist = r.n_hist
@@ -257,6 +257,17 @@ class TestDeterministicSolution:
         gaps = [self._representation_gap(mu, phi_fn, h, 2.0) for h in (0.02, 0.01, 0.005)]
         orders = [math.log2(gaps[i] / gaps[i + 1]) for i in range(2)]
         assert min(orders) >= 1.9
+
+
+@pytest.mark.parametrize("T", [math.nan, math.inf, -1.0])
+@pytest.mark.parametrize("solve", [
+    lambda mu, T: compute_resolvent(mu, 0.1, T),
+    lambda mu, T: deterministic_solution(mu, const_phi(1.0, 0.1), T),
+], ids=["compute_resolvent", "deterministic_solution"])
+def test_horizon_not_finite_or_negative_is_a_bad_value(solve, T):
+    with pytest.raises(ConfigurationError) as err:
+        solve(SignedMeasure(1.0, atoms=((0.0, -1.0),)), T)
+    assert err.value.code == "BAD_VALUE" and err.value.field == "horizon"
 
 
 class TestL2AndDecay:
